@@ -5,9 +5,9 @@ Untraced run (end-to-end metrics): set the workload up several times
 and report the median set-up, then mine both tasks in rounds until the
 run's seconds are used, each mine on a fresh copy of the matrix so
 every timed mine pays the per-matrix caches a user mining once pays.
-A task's time is its fastest round, at the reference CPU speed (see
-``common.HostSpeed``): the host's CPU speed swings by up to 2x in
-phases of seconds, and only slows a mine, never speeds it up.  Peak
+A task's time is the median of its rounds, each scaled to the
+reference CPU speed (see ``common.timed``): the host's CPU speed swings
+by up to 1.5x in phases of a second or more.  Peak
 memory is the process's peak RSS during the mine calls above
 the post-setup baseline.  Every mine's rule digest is checked
 afterwards against the brute-force oracle.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import statistics
 import time
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -31,13 +32,13 @@ from common import (
     MB,
     Report,
     SpanRecorder,
-    HostSpeed,
     build_instance,
     cpu_probe,
     import_program,
     peak_rss_bytes,
     reset_peak_rss,
     rules_digest,
+    timed,
 )
 
 
@@ -59,10 +60,10 @@ class BatchWorkload:
         )
 
 
-WORKLOADS = {
+BATCH_WORKLOADS = {
     w.name: w
     for w in (
-        BatchWorkload("wlog-dense", "Wlog", 3),
+        BatchWorkload("wlog-dense", "Wlog", 2),
         BatchWorkload("news-sparse", "News", 2),
     )
 }
@@ -123,11 +124,9 @@ def run_batch(
 
     setups = []
     for _ in range(SETUP_REPEATS):
-        with HostSpeed() as speed:
-            started = time.perf_counter()
+        with timed() as timing:
             matrix = build_instance(workload.dataset, workload.scale, seed)
-            took = time.perf_counter() - started
-        setups.append(took * speed.factor)
+        setups.append(timing.scaled)
     report.put("setup_s", statistics.median(setups), "s")
 
     warm_up(repro, matrix, workload)
@@ -140,19 +139,15 @@ def run_batch(
             fresh = fresh_copy(matrix)
             reset_peak_rss()
             try:
-                with HostSpeed() as speed:
-                    begun = time.perf_counter()
+                with timed() as timing:
                     result = repro.mine(fresh, task=task,
                                         threshold=threshold)
-                    took = time.perf_counter() - begun
             except Exception as error:  # every failure is counted
                 report.operation(False, f"{prefix} mine: {error!r}")
                 continue
             peaks.append(peak_rss_bytes() - baseline)
             rules = result.rules if tamper is None else tamper(result.rules)
-            mined[prefix].append(
-                (took * speed.factor, took, rules_digest(rules), len(rules))
-            )
+            mined[prefix].append((timing, rules_digest(rules), len(rules)))
             del result, rules, fresh
         if time.perf_counter() - started >= seconds:
             break
@@ -160,19 +155,22 @@ def run_batch(
     for prefix, task, threshold in workload.tasks():
         expected = oracle_rules(matrix, task, threshold)
         digest = rules_digest(expected)
-        for _, _, got, count in mined[prefix]:
+        for _, got, count in mined[prefix]:
             report.witness(
                 got == digest,
                 f"{prefix}: {count} rules, oracle has {len(expected)}",
             )
         if mined[prefix]:
-            report.put(f"{prefix}_mine_s", min(m[0] for m in mined[prefix]),
-                       "s")
+            timings = [m[0] for m in mined[prefix]]
+            report.put(f"{prefix}_mine_s",
+                       statistics.median(t.scaled for t in timings), "s")
             report.notes.append(
                 f"{prefix}_mine_s samples (reference speed / as timed): "
-                + " ".join(f"{m[0]:.4f}/{m[1]:.4f}" for m in mined[prefix])
+                + " ".join(f"{t.scaled:.4f}/{t.seconds:.4f}"
+                           for t in timings)
             )
-    report.put("peak_mb", max(peaks) / MB, "MB")
+    if peaks:
+        report.put("peak_mb", max(peaks) / MB, "MB")
     report.notes.append(
         "peak_mb samples: " + " ".join(f"{p / MB:.1f}" for p in peaks)
     )
@@ -185,13 +183,15 @@ def run_batch(
 # ----------------------------------------------------------------------
 
 
-def compose(matrix, task, threshold, spans, prefix):
+def compose(matrix, task, threshold, spans, prefix, trace_memory=False):
     """The in-memory pipeline rebuilt from its layers' public calls.
 
     Mirrors ``find_implication_rules`` / ``find_similarity_rules`` with
     the options ``resolve_engine()`` picks for a default ``mine()``.
     Besides the rules, returns the counts the traced run reports and
-    how far the process's peak RSS rose during the <100% scan.
+    how far the process's peak RSS rose during the <100% scan; with
+    ``trace_memory``, also the peak of the allocations tracemalloc
+    traced during that scan (which slows the scan several times over).
     """
     from repro.api import MiningConfig, resolve_engine
     from repro.core.dmc_imp import second_pass_scan
@@ -258,6 +258,8 @@ def compose(matrix, task, threshold, spans, prefix):
         )
     )
     before = reset_peak_rss()
+    if trace_memory:
+        tracemalloc.start()
     with spans.span(f"{prefix}.core.scan"):
         scan(
             restricted,
@@ -269,6 +271,10 @@ def compose(matrix, task, threshold, spans, prefix):
             guard=options.memory_guard,
         )
     scan_peak = peak_rss_bytes() - before
+    traced_peak = None
+    if trace_memory:
+        traced_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
     return {
         "rules": rules,
@@ -276,6 +282,7 @@ def compose(matrix, task, threshold, spans, prefix):
         "columns_removed": matrix.n_columns - len(keep),
         "scan_stats": scan_stats,
         "scan_peak": scan_peak,
+        "traced_peak": traced_peak,
     }
 
 
@@ -302,16 +309,28 @@ def sparse_floor(matrix, task, threshold):
 
 
 def _traced(repro, workload, seed, report, tamper):
-    from repro.mining.export import rules_to_json
-
     probes = [cpu_probe() for _ in range(5)]
     spans = SpanRecorder()
     with spans.span("datasets.build"):
         matrix = build_instance(workload.dataset, workload.scale, seed)
     report.put("datasets.build_s", spans.total("datasets.build"), "s")
     warm_up(repro, matrix, workload)
+    trace_tasks(repro, matrix, workload.tasks(), report, tamper)
+    probes += [cpu_probe() for _ in range(5)]
+    report.put("bench.cpu_probe_s", statistics.median(probes), "s")
+    report.put("error_rate", report.error_rate, "ratio")
 
-    for prefix, task, threshold in workload.tasks():
+
+def trace_tasks(repro, matrix, tasks, report, tamper=None):
+    """The per-layer metrics of each ``(prefix, task, threshold)`` mine
+    of ``matrix``: an untraced ``repro.mine()`` for the digest and the
+    overhead base, the same pipeline composed from its layers with a
+    span around each (its digest must equal the mine's), the export,
+    the references and the oracle."""
+    from repro.mining.export import rules_to_json
+
+    spans = SpanRecorder()
+    for prefix, task, threshold in tasks:
         fresh = fresh_copy(matrix)
         begun = time.perf_counter()
         result = repro.mine(fresh, task=task, threshold=threshold)
@@ -360,8 +379,14 @@ def _traced(repro, workload, seed, report, tamper):
             "row")
         put("core.counter_peak_bytes", stats.peak_bytes, "bytes")
         put("core.scan_peak_mb", composed["scan_peak"] / MB, "MB")
+        traced_peak = compose(
+            fresh_copy(matrix), task, threshold, SpanRecorder(False), prefix,
+            trace_memory=True,
+        )["traced_peak"]
+        put("core.traced_peak_mb", traced_peak / MB, "MB")
         report.notes.append(
             f"{prefix} memory: counter model {stats.peak_bytes / MB:.1f} MB, "
+            f"traced {traced_peak / MB:.1f} MB, "
             f"RSS rise during the scan {composed['scan_peak'] / MB:.1f} MB"
         )
         put("mining.export_s", spans.total(f"{prefix}.mining.export"), "s")
@@ -392,6 +417,3 @@ def _traced(repro, workload, seed, report, tamper):
             f"{prefix}: floor counts {floor_count} rules, oracle "
             f"{len(expected)}, composition {n_rules}",
         )
-    probes += [cpu_probe() for _ in range(5)]
-    report.put("bench.cpu_probe_s", statistics.median(probes), "s")
-    report.put("error_rate", report.error_rate, "ratio")

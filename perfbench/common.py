@@ -18,7 +18,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 #: The checkout the benchmark runs in (the directory above this one).
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,47 +57,31 @@ def import_program():
 # ----------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class Span:
-    name: str
-    start: float
-    end: float
-    parent: Optional[str]
-
-    @property
-    def seconds(self) -> float:
-        return self.end - self.start
-
-
 class SpanRecorder:
-    """In-memory spans around layer calls, nested per thread;
-    ``enabled=False`` records nothing."""
+    """Seconds spent in named spans around layer calls;
+    ``enabled=False`` records nothing.  Safe to use from several
+    threads."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.spans: List[Span] = []
+        self._seconds: Dict[str, List[float]] = {}
         self._lock = threading.Lock()
-        self._local = threading.local()
 
     @contextmanager
     def span(self, name: str):
         if not self.enabled:
             yield
             return
-        stack = self._local.__dict__.setdefault("stack", [])
-        parent = stack[-1] if stack else None
-        stack.append(name)
-        start = time.perf_counter()
+        started = time.perf_counter()
         try:
             yield
         finally:
-            end = time.perf_counter()
-            stack.pop()
+            took = time.perf_counter() - started
             with self._lock:
-                self.spans.append(Span(name, start, end, parent))
+                self._seconds.setdefault(name, []).append(took)
 
     def seconds(self, name: str) -> List[float]:
-        return [s.seconds for s in self.spans if s.name == name]
+        return list(self._seconds.get(name, ()))
 
     def median(self, name: str) -> float:
         return statistics.median(self.seconds(name))
@@ -113,26 +97,31 @@ class SpanRecorder:
 #: Seed of the stand-in generators.  The stand-ins' size and rule count
 #: swing widely from one generator seed to the next (Wlog x3 spans
 #: 2.2-3.9 s of implication mining over five seeds), so each workload is
-#: one fixed stand-in and the run's seed permutes it instead.
+#: one fixed stand-in and the run's seed relabels it instead.
 GENERATOR_SEED = 0
 
 
 def build_instance(dataset: str, scale: float, seed: int):
-    """The stand-in ``dataset`` at ``scale`` with its rows shuffled and
-    its columns renumbered by ``seed``: the same matrix up to
-    relabelling, so the same rules and the same amount of work, while
-    scan order ties and canonical-direction ties fall differently."""
+    """The stand-in ``dataset`` at ``scale``, relabelled by ``seed``."""
+    from repro.datasets.registry import DATASETS
+
+    return relabel(DATASETS[dataset].build(scale, GENERATOR_SEED), seed)
+
+
+def relabel(matrix, seed: int):
+    """``matrix`` with its columns renumbered by ``seed``: the same
+    matrix up to relabelling, so the same rules and the same amount of
+    work.  The rows keep their order: rows of equal density are scanned
+    in input order, and shuffling them moved the Wlog x2 scans' work by
+    up to 18% (candidate pairs added) from seed to seed."""
     import random
 
-    from repro.datasets.registry import DATASETS
     from repro.matrix.binary_matrix import BinaryMatrix, Vocabulary
 
-    matrix = DATASETS[dataset].build(scale, GENERATOR_SEED)
     rng = random.Random(seed)
     new_id = list(range(matrix.n_columns))
     rng.shuffle(new_id)
     rows = [[new_id[c] for c in row] for _, row in matrix.iter_rows()]
-    rng.shuffle(rows)
     vocabulary = None
     if matrix.vocabulary is not None:
         labels = [""] * matrix.n_columns
@@ -152,8 +141,8 @@ def build_instance(dataset: str, scale: float, seed: int):
 PROBE_ITERATIONS = 20_000
 PROBE_REFERENCE_S = 0.0011
 
-#: Seconds between probes while a timed call runs.
-PROBE_PERIOD_S = 0.1
+#: Probes taken right before, and again right after, each timed call.
+PROBES_PER_SIDE = 5
 
 
 def cpu_probe() -> float:
@@ -165,40 +154,38 @@ def cpu_probe() -> float:
     return time.perf_counter() - started
 
 
-class HostSpeed:
-    """Probes the CPU speed on a side thread while a timed call runs.
+@dataclasses.dataclass
+class Timing:
+    """One timed call: its seconds as timed and the host's speed
+    around it."""
 
-    The tuning host's CPU runs up to 2x slower in phases of seconds to
-    minutes, which the program neither causes nor can avoid.  End-to-end
-    times are reported at the reference speed: seconds as timed times
-    :attr:`factor`.  A probe takes the interpreter lock for about a
-    millisecond every :data:`PROBE_PERIOD_S`, so the timed call runs
-    about 1% slower, on every commit alike.
-    """
-
-    def __init__(self) -> None:
-        self.samples: List[float] = []
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        while not self._stop.wait(PROBE_PERIOD_S):
-            self.samples.append(cpu_probe())
-
-    def __enter__(self) -> "HostSpeed":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join()
-        if not self.samples:
-            self.samples.append(cpu_probe())
+    seconds: float = 0.0
+    #: Seconds at the reference speed per second as timed.
+    factor: float = 1.0
 
     @property
-    def factor(self) -> float:
-        """Seconds at the reference speed per second as timed."""
-        return PROBE_REFERENCE_S / statistics.median(self.samples)
+    def scaled(self) -> float:
+        """The call's seconds at the reference CPU speed."""
+        return self.seconds * self.factor
+
+
+@contextmanager
+def timed():
+    """Time the block; probe the CPU speed just before and just after
+    it, never while it runs, so the call under test competes with
+    nothing the benchmark does.
+
+    The tuning host's CPU runs up to 1.5x slower in phases of a second
+    or more, which the program neither causes nor can avoid; the
+    probes around a call give the speed it most likely ran at.
+    """
+    timing = Timing()
+    probes = [cpu_probe() for _ in range(PROBES_PER_SIDE)]
+    started = time.perf_counter()
+    yield timing
+    timing.seconds = time.perf_counter() - started
+    probes += [cpu_probe() for _ in range(PROBES_PER_SIDE)]
+    timing.factor = PROBE_REFERENCE_S / statistics.median(probes)
 
 
 # ----------------------------------------------------------------------
@@ -283,10 +270,12 @@ class Report:
 
     def operation(self, ok: bool, why: str = "") -> None:
         """Count one attempted operation that raised or was refused
-        when not ``ok``."""
+        when not ``ok``; a failure makes the run incorrect, since every
+        workload is chosen so that no operation fails."""
         self.attempted += 1
         if not ok:
             self.failed += 1
+            self.correct = False
             self.notes.append(f"failed: {why}")
 
     def witness(self, ok: bool, why: str = "") -> None:
@@ -314,12 +303,15 @@ class Report:
             print(f"{name:34s} {metric['value']:>16.6g} {metric['unit']}")
         wanted = list(wanted)
         missing = [name for name in wanted if name not in self.metrics]
-        if missing:
+        if missing and self.correct:
             raise KeyError(f"metrics not measured: {missing}")
+        # A failed operation can leave a metric without samples; the
+        # result then reports the failure with what was measured.
         result = {
             "correct": self.correct,
             "attempted": self.attempted,
             "failed": self.failed,
-            "metrics": {name: self.metrics[name] for name in wanted},
+            "metrics": {name: self.metrics[name] for name in wanted
+                        if name in self.metrics},
         }
         print(json.dumps(result), flush=True)

@@ -7,20 +7,21 @@ Run from the root of a checkout::
 
 Workloads (see ``BENCHMARK.json`` for why each was chosen):
 
-- ``wlog-dense`` — Wlog x3 (6000 x 2100), implication 0.8 then
+- ``wlog-dense`` — Wlog x2 (4000 x 1400), implication 0.8 then
   similarity 0.5, in memory;
 - ``news-sparse`` — News x2 (8000 x 5261), same thresholds;
 - ``service-mixed`` — ``repro serve`` in its own process under an open
-  loop of one-shot jobs (dicD x1 file) and live deltas (Wlog x0.15
-  rows).
+  loop of one-shot implication and similarity jobs (dicD x1 file) and
+  live deltas (rows of a 4200-client, 105-URL Wlog stand-in).
 
 Each stand-in is generated once with a fixed generator seed; ``--seed``
-shuffles its rows and renumbers its columns.
+renumbers its columns.
 
 End-to-end times are scaled to a reference CPU speed by a probe loop
-timed on a side thread while each measurement runs
-(``common.HostSpeed``); ``bench.cpu_probe_s`` in the traced run shows
-the host's speed.
+timed just before and just after each measurement, never during it
+(``common.timed``; the service's latencies by probes taken while the
+server idles); ``bench.cpu_probe_s`` in the traced run shows the
+host's speed.
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` makes one
 separate run with a span around each layer call the benchmark makes
@@ -40,47 +41,48 @@ import sys
 
 from common import ProgramMissing
 
-#: End-to-end metrics each workload reports with ``--trace 0``.
-END_TO_END = {
-    "wlog-dense": ("setup_s", "imp_mine_s", "sim_mine_s", "peak_mb"),
-    "news-sparse": ("setup_s", "imp_mine_s", "sim_mine_s", "peak_mb"),
-    "service-mixed": ("setup_s", "peak_mb"),
-}
+#: The workloads, in the order ``BENCHMARK.json`` lists them.
+WORKLOADS = ("wlog-dense", "news-sparse", "service-mixed")
 
-#: Per-layer metrics of one batch task, reported under ``imp.``/``sim.``.
-BATCH_TASK_LAYERS = (
+#: End-to-end metrics every workload reports with ``--trace 0``.  On
+#: the batch workloads ``*_mine_s`` is one in-process ``repro.mine()``
+#: call; on ``service-mixed`` it is one one-shot job of that task, from
+#: its scheduled send time to its result fetched.
+END_TO_END = ("setup_s", "imp_mine_s", "sim_mine_s", "peak_mb")
+
+#: Per-layer metrics of one task, reported under ``imp.``/``sim.``.  On
+#: ``service-mixed`` they break down the in-memory mine of the jobs'
+#: input.
+TASK_LAYERS = (
     "matrix.prescan_s", "matrix.restrict_s", "matrix.columns_removed",
     "core.full_s", "core.full_rules", "core.scan_s", "core.scan_rows",
     "core.candidates_added", "core.deleted_budget", "core.deleted_dynamic",
     "core.rejected", "core.rules", "core.yield", "core.bitmap_switch_row",
-    "core.counter_peak_bytes", "core.scan_peak_mb",
+    "core.counter_peak_bytes", "core.traced_peak_mb", "core.scan_peak_mb",
     "mining.export_s", "mining.export_bytes",
     "reference.dmc_s", "reference.floor_s", "reference.floor_ratio",
     "bench.trace_overhead",
 )
 
-_BATCH_LAYERS = (
+#: Per-layer metrics every workload reports with ``--trace 1``.
+PER_LAYER = (
     "datasets.build_s", "error_rate", "bench.cpu_probe_s",
 ) + tuple(
-    f"{prefix}.{name}" for prefix in ("imp", "sim")
-    for name in BATCH_TASK_LAYERS
+    f"{prefix}.{name}" for prefix in ("imp", "sim") for name in TASK_LAYERS
 )
 
-#: Per-layer metrics each workload reports with ``--trace 1``.
-PER_LAYER = {
-    "wlog-dense": _BATCH_LAYERS,
-    "news-sparse": _BATCH_LAYERS,
-    "service-mixed": (
-        "datasets.build_s", "error_rate", "slo_miss",
-        "job_p50_s", "job_p90_s", "delta_p50_s", "delta_p90_s",
-        "service.submit_s", "service.queue_wait_s", "service.run_s",
-        "service.result_fetch_s", "service.result_bytes",
-        "service.rejected", "matrix.stream_s",
-        "live.commit_s", "live.apply_s", "live.readmitted",
-        "live.replayed_rows", "live.degraded", "live.rules",
-        "bench.generator_late_p90_s", "bench.cpu_probe_s",
-    ),
-}
+#: Metrics only ``service-mixed`` measures, untraced and traced.  Its
+#: runs print them among their readable lines; the result line holds
+#: only the metrics every workload measures.
+SERVICE_ONLY = ("imp_job_p90_s", "sim_job_p90_s", "delta_p50_s",
+                "delta_p90_s", "slo_miss")
+SERVICE_ONLY_LAYERS = (
+    "slo_miss", "service.submit_s", "service.queue_wait_s",
+    "service.run_s", "service.result_fetch_s", "service.result_bytes",
+    "service.rejected", "matrix.stream_s", "live.commit_s", "live.apply_s",
+    "live.readmitted", "live.replayed_rows", "live.degraded", "live.rules",
+    "service.busy_share", "bench.generator_late_p90_s",
+)
 
 
 def run(workload: str, seed: int, seconds: float, trace: bool):
@@ -89,14 +91,14 @@ def run(workload: str, seed: int, seconds: float, trace: bool):
         from service_mixed import run_service_mixed
 
         return run_service_mixed(seed, seconds, trace)
-    from batch import WORKLOADS, run_batch
+    from batch import BATCH_WORKLOADS, run_batch
 
-    return run_batch(WORKLOADS[workload], seed, seconds, trace)
+    return run_batch(BATCH_WORKLOADS[workload], seed, seconds, trace)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=END_TO_END)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -107,8 +109,7 @@ def main(argv=None) -> int:
     except ProgramMissing as error:
         print(f"perfbench: {error}", file=sys.stderr)
         return 2
-    wanted = (PER_LAYER if args.trace else END_TO_END)[args.workload]
-    report.emit(wanted)
+    report.emit(PER_LAYER if args.trace else END_TO_END)
     return 0
 
 

@@ -5,9 +5,9 @@ slots.  This process is the single load generator.  It keeps at most
 two connections open at a time: a sender thread and a fetcher thread.
 
 - The sender sends on a fixed schedule, whatever the replies.  One
-  stream is one-shot implication jobs over a numeric-id transactions
-  file (``data.path``).  The other is row-slice deltas into one live
-  job, posted with ``wait: true``.
+  stream is one-shot jobs over a numeric-id transactions file
+  (``data.path``), implication and similarity in turn.  The other is
+  row-slice deltas into one live job, posted with ``wait: true``.
 - The fetcher long-polls each submitted job and fetches its result.
   The service's long-poll looks at the job every 50 ms from the start
   of the request, which would round every job latency up to a step of
@@ -16,20 +16,32 @@ two connections open at a time: a sender thread and a fetcher thread.
   stays continuous in the job's run time.
 
 Latency counts from each request's scheduled send time, so a stall
-also charges the requests queued behind it.  The generator's own
-lateness is reported as ``bench.generator_late_p90_s``.
+also charges the requests queued behind it.  ``imp_mine_s`` and
+``sim_mine_s`` are the p50 latencies of the two kinds of job, the
+end-to-end metrics every workload reports; the job p90s, the delta
+latencies and ``slo_miss`` are printed among the readable lines.  The
+generator's own lateness is reported as ``bench.generator_late_p90_s``.
 
-The end-to-end metrics of this workload are set-up time and the
-server's peak memory.  The job and delta latency percentiles are
-printed by every run but reported as per-layer metrics: on the tuning
-host they swing up to 2x between runs (IQR over ten seeds 0.26-0.63 of
-the median) because the host's CPU speed varies mid-run, so no bound
-could hold them.
+The rates keep the server busy under a third of the time
+(``service.busy_share`` in the traced run), and the live stand-in has
+enough rows that a 20-second run sends each row once.
+
+Each latency is scaled to a reference CPU speed, as the batch mining
+times are (``common.timed``), by the probes taken within a second of
+its send time.  The sender probes only while the server has no work:
+before the load, in the gaps when no job is open and the next send is
+not yet due, and after the load, so a probe never competes with the
+server.  The SLO limits apply to the latencies as timed, which a user
+sees; every run prints their p50 and p90 too.
 
 Witnesses: every job result must equal a direct ``repro.mine(path)``
 of the same file, and that mine must equal the brute-force oracle.
 The live job's final result must equal a one-shot mine of every row
 it ingested.
+
+The traced run adds the service's and the live miner's layers, and
+breaks the in-memory mine of the jobs' input down by layer under the
+same ``imp.``/``sim.`` names as the batch workloads.
 
 The benchmark writes the numeric-id file itself.  ``FileSource``
 reads numeric ids only, and ``save_transactions`` writes labels for a
@@ -55,12 +67,15 @@ import urllib.request
 from dataclasses import dataclass
 from fractions import Fraction
 
+from batch import oracle_rules, trace_tasks
 from common import (
+    GENERATOR_SEED,
     MB,
+    PROBE_REFERENCE_S,
+    PROBES_PER_SIDE,
     SRC,
     WORK_ROOT,
     Report,
-    HostSpeed,
     SpanRecorder,
     build_instance,
     cpu_probe,
@@ -68,8 +83,10 @@ from common import (
     import_program,
     peak_rss_bytes,
     percentile,
+    relabel,
     rss_bytes,
     rules_digest,
+    timed,
 )
 
 
@@ -77,27 +94,43 @@ from common import (
 class ServiceWorkload:
     """Inputs, rates and latency limits of the mixed load."""
 
-    #: One-shot jobs: implication over this stand-in, sent as a file.
+    #: One-shot jobs over this stand-in, sent as a file: implication at
+    #: each whole interval, similarity half an interval later.
     job_dataset: str = "dicD"
     job_scale: float = 1.0
-    job_threshold: Fraction = Fraction(4, 5)
-    #: Seconds between job sends.
-    job_interval: float = 0.5
+    minconf: Fraction = Fraction(4, 5)
+    minsim: Fraction = Fraction(1, 2)
+    #: Seconds between two sends of the same task.
+    job_interval: float = 1.0
     #: Latency limit of one job, send-to-result.
     job_limit_s: float = 1.0
-    #: The live job: seeded from, then fed with, this stand-in's rows.
-    live_dataset: str = "Wlog"
-    live_scale: float = 0.15
+    #: The live job: seeded from, then fed with, the rows of a Wlog
+    #: stand-in with Wlog x0.15's 105 URLs and enough clients that a
+    #: 20-second run sends every row once.
+    live_clients: int = 4200
+    live_urls: int = 105
     live_task: str = "implication"
     live_threshold: Fraction = Fraction(4, 5)
     seed_rows: int = 200
-    delta_rows: int = 200
+    delta_rows: int = 100
     #: Seconds between delta sends.
     delta_interval: float = 0.5
+    #: Send time of the first delta.  Jobs go out every half second and
+    #: take about 0.2 s, so deltas 0.3 s past each job rarely meet one
+    #: in the server.
+    delta_phase: float = 0.3
     #: Latency limit of one delta, send-to-applied.
     delta_limit_s: float = 0.5
     #: Server start-ups per run; ``setup_s`` is their median.
     setup_repeats: int = 3
+
+    def tasks(self):
+        """``(prefix, task, threshold)`` of the one-shot jobs, in the
+        order they go out within an interval."""
+        return (
+            ("imp", "implication", self.minconf),
+            ("sim", "similarity", self.minsim),
+        )
 
 
 WORKLOAD = ServiceWorkload()
@@ -107,6 +140,12 @@ SERVER_TIMEOUT = 60.0
 
 #: Long-poll length of one job-state request.
 POLL_WAIT = 30
+
+#: Seconds a speed probe must leave before the next send is due.
+IDLE_MARGIN_S = 0.02
+
+#: A latency is scaled by the probes taken this close to its send time.
+SPEED_WINDOW_S = 1.0
 
 
 class HttpError(Exception):
@@ -209,12 +248,17 @@ class Server:
 
 def set_up(workload, seed, work_dir, index, spans):
     """Build both inputs, write the job file and start a server."""
+    from repro.datasets.weblog import generate_weblog
+
     with spans.span("datasets.build"):
         job_matrix = build_instance(
             workload.job_dataset, workload.job_scale, seed
         )
-        live_matrix = build_instance(
-            workload.live_dataset, workload.live_scale, seed
+        live_matrix = relabel(
+            generate_weblog(n_clients=workload.live_clients,
+                            n_urls=workload.live_urls,
+                            seed=GENERATOR_SEED),
+            seed,
         )
     path = os.path.join(work_dir, f"jobs-{index}.txt")
     write_numeric_file(job_matrix, path)
@@ -243,29 +287,38 @@ class Load:
         self.deltas = []      # dicts: due, latency, receipt / error
         self.late = []        # send time minus due time
         self.sent_rows = []   # the delta batches, in seq order
+        self.probes = []      # (time, seconds) of CPU probes taken
+                              # while the server idled
         self._fetch = queue.Queue()
+        self._open_jobs = 0   # submitted, result not yet fetched
+        self._lock = threading.Lock()
 
     def _schedule(self, seconds: float):
         w = self.workload
         events = []
-        due = 0.0
+        tasks = w.tasks()
+        for index, task in enumerate(tasks):
+            due = index * w.job_interval / len(tasks)
+            while due < seconds:
+                events.append((due, task))
+                due += w.job_interval
+        due = w.delta_phase
         while due < seconds:
-            events.append((due, "job"))
-            due += w.job_interval
-        due = w.delta_interval / 2
-        while due < seconds:
-            events.append((due, "delta"))
+            events.append((due, None))
             due += w.delta_interval
-        return sorted(events)
+        return sorted(events, key=lambda event: event[0])
 
     def delta_batch(self, seq: int):
-        """Row slice ``seq`` of the live stand-in, wrapping around."""
+        """Row slice ``seq`` of the live stand-in.  A run longer than
+        the stand-in was sized for wraps around and re-sends rows."""
         rows = self.live_rows
         size = self.workload.delta_rows
         start = (self.workload.seed_rows + (seq - 2) * size) % len(rows)
         return [rows[(start + k) % len(rows)] for k in range(size)]
 
     def run(self) -> None:
+        for _ in range(PROBES_PER_SIDE):
+            self._probe()
         fetcher = threading.Thread(target=self._fetch_loop, daemon=True)
         fetcher.start()
         try:
@@ -275,37 +328,64 @@ class Load:
             fetcher.join(timeout=SERVER_TIMEOUT * 2)
         if fetcher.is_alive():
             raise RuntimeError("job fetcher did not finish")
+        for _ in range(PROBES_PER_SIDE):
+            self._probe()
+
+    def _probe(self) -> None:
+        self.probes.append((time.perf_counter(), cpu_probe()))
+
+    def speed_factor(self, around: float) -> float:
+        """Seconds at the reference CPU speed per second as timed, from
+        the probes taken within :data:`SPEED_WINDOW_S` of ``around``,
+        or from all of them when none was that close."""
+        near = [took for at, took in self.probes
+                if abs(at - around) <= SPEED_WINDOW_S]
+        return PROBE_REFERENCE_S / statistics.median(
+            near or [took for _, took in self.probes]
+        )
 
     def _send_loop(self) -> None:
         start = time.perf_counter()
         next_seq = 2
-        for number, (offset, kind) in enumerate(self.schedule):
+        for number, (offset, task) in enumerate(self.schedule):
             due = start + offset
+            self._probe_while_idle(due)
             pause = due - time.perf_counter()
             if pause > 0:
                 time.sleep(pause)
             self.late.append(time.perf_counter() - due)
-            if kind == "job":
-                self._send_job(f"job-{number:05d}", due)
+            if task is not None:
+                self._send_job(f"job-{number:05d}", task, due)
             else:
                 self._send_delta(next_seq, due)
                 next_seq += 1
 
-    def _send_job(self, job_id: str, due: float) -> None:
-        w = self.workload
-        job = {"job_id": job_id, "due": due}
+    def _probe_while_idle(self, due: float) -> None:
+        """Probe the CPU speed while the server has no work: no job is
+        open, the sender's last delta was answered, and the next send
+        is not yet due.  A probe never runs beside the server's work."""
+        for _ in range(PROBES_PER_SIDE):
+            if self._open_jobs or due - time.perf_counter() < IDLE_MARGIN_S:
+                return
+            self._probe()
+
+    def _send_job(self, job_id: str, task, due: float) -> None:
+        prefix, name, threshold = task
+        job = {"job_id": job_id, "prefix": prefix, "due": due}
         self.jobs.append(job)
         try:
             with self.spans.span("service.submit"):
                 http("POST", f"{self.base}/jobs", {
                     "job_id": job_id,
-                    "task": "implication",
-                    "threshold": str(w.job_threshold),
+                    "task": name,
+                    "threshold": str(threshold),
                     "data": {"path": self.path},
                 })
         except (OSError, HttpError) as error:
             self._failed(job, error)
             return
+        with self._lock:
+            self._open_jobs += 1
         self._fetch.put(job)
 
     def _send_delta(self, seq: int, due: float) -> None:
@@ -333,6 +413,8 @@ class Load:
                 self._fetch_job(job)
             except (OSError, HttpError, ValueError) as error:
                 self._failed(job, error)
+            with self._lock:
+                self._open_jobs -= 1
 
     def _fetch_job(self, job) -> None:
         from repro.service.server import WAIT_POLL_SECONDS
@@ -416,23 +498,20 @@ def run_service_mixed(seed: int, seconds: float, trace: bool,
         for index in range(workload.setup_repeats):
             if server is not None:
                 server.stop()
-            with HostSpeed() as speed:
-                begun = time.perf_counter()
+            with timed() as timing:
                 job_matrix, live_rows, path, server = set_up(
                     workload, seed, work_dir, index, spans
                 )
-                took = time.perf_counter() - begun
-            setups.append(took * speed.factor)
+            setups.append(timing.scaled)
         baseline = rss_bytes(server.pid)
 
         seed_rows = live_rows[:workload.seed_rows]
         open_live_job(server.url, workload, seed_rows)
         load = Load(workload, server.url, path, live_rows, seconds, seed,
                     spans)
-        probes = [cpu_probe() for _ in range(5)]
         load.run()
-        probes += [cpu_probe() for _ in range(5)]
-        report.put("bench.cpu_probe_s", statistics.median(probes), "s")
+        report.put("bench.cpu_probe_s",
+                   statistics.median(took for _, took in load.probes), "s")
         _, text = http("GET", f"{server.url}/jobs/live/result")
         live_document = json.loads(text)
         peak = peak_rss_bytes(server.pid) - baseline
@@ -445,7 +524,9 @@ def run_service_mixed(seed: int, seconds: float, trace: bool,
         report.put("peak_mb", peak / MB, "MB")
         if trace:
             _layers(repro, report, workload, load, path, seed_rows, spans,
-                    work_dir)
+                    work_dir, seconds)
+            trace_tasks(repro, job_matrix, workload.tasks(), report)
+        report.put("error_rate", report.error_rate, "ratio")
     finally:
         if server is not None:
             server.stop()
@@ -458,36 +539,39 @@ def run_service_mixed(seed: int, seconds: float, trace: bool,
 def _score(repro, report, workload, load, job_matrix, path, seed_rows,
            live_document, tamper) -> None:
     """Witnesses, error counts, latency percentiles and SLO misses."""
-    from repro.baselines.bruteforce import implication_rules_bruteforce
     from repro.mining.export import rules_to_json
 
-    direct = repro.mine(path, task="implication",
-                        threshold=workload.job_threshold)
-    expected = document_digest(json.loads(rules_to_json(direct.rules)))
-    oracle = implication_rules_bruteforce(job_matrix, workload.job_threshold)
-    report.witness(
-        rules_digest(direct.rules) == rules_digest(oracle),
-        "direct mine of the job file disagrees with the oracle",
-    )
+    expected = {}
+    for prefix, task, threshold in workload.tasks():
+        direct = repro.mine(path, task=task, threshold=threshold)
+        expected[prefix] = document_digest(
+            json.loads(rules_to_json(direct.rules))
+        )
+        oracle = oracle_rules(job_matrix, task, threshold)
+        report.witness(
+            rules_digest(direct.rules) == rules_digest(oracle),
+            f"direct {prefix} mine of the job file disagrees with the oracle",
+        )
 
-    job_latencies, misses = [], 0
+    finished_jobs, misses = [], 0
     for job in load.jobs:
         if "error" in job:
             report.operation(False, f"{job['job_id']}: {job['error']}")
             misses += 1
             continue
         digest = job["digest"] if tamper is None else tamper(job["digest"])
-        report.witness(digest == expected,
+        right = digest == expected[job["prefix"]]
+        report.witness(right,
                        f"{job['job_id']}: result differs from direct mine")
-        job_latencies.append(job["latency"])
-        misses += digest != expected or job["latency"] > workload.job_limit_s
+        finished_jobs.append(job)
+        misses += not right or job["latency"] > workload.job_limit_s
 
-    delta_latencies = []
+    applied_deltas = []
     for delta in load.deltas:
         ok = "error" not in delta
         report.operation(ok, f"delta {delta['seq']}: {delta.get('error')}")
         if ok:
-            delta_latencies.append(delta["latency"])
+            applied_deltas.append(delta)
         misses += not ok or delta["latency"] > workload.delta_limit_s
 
     everything = list(seed_rows)
@@ -503,36 +587,55 @@ def _score(repro, report, workload, load, job_matrix, path, seed_rows,
         "live result differs from a one-shot mine of every ingested row",
     )
 
-    for name, values in (("job", job_latencies), ("delta", delta_latencies)):
-        if values:
-            report.put(f"{name}_p50_s", percentile(values, 0.5), "s")
-            report.put(f"{name}_p90_s", percentile(values, 0.9), "s")
+    groups = [
+        (f"{prefix}_mine_s", f"{prefix}_job_p90_s",
+         [job for job in finished_jobs if job["prefix"] == prefix])
+        for prefix, _, _ in workload.tasks()
+    ] + [("delta_p50_s", "delta_p90_s", applied_deltas)]
+    for p50_name, p90_name, ops in groups:
+        if ops:
+            scaled = [op["latency"] * load.speed_factor(op["due"])
+                      for op in ops]
+            as_timed = [op["latency"] for op in ops]
+            report.put(p50_name, percentile(scaled, 0.5), "s")
+            report.put(p90_name, percentile(scaled, 0.9), "s")
+            report.notes.append(
+                f"{p50_name}/{p90_name} as timed: "
+                f"{percentile(as_timed, 0.5):.4f}/"
+                f"{percentile(as_timed, 0.9):.4f} s"
+            )
     report.notes.append(
-        f"samples: {len(job_latencies)} jobs, {len(delta_latencies)} deltas"
+        f"samples: {len(finished_jobs)} jobs, {len(applied_deltas)} "
+        f"deltas, {len(load.probes)} speed probes"
     )
-    report.put("error_rate", report.error_rate, "ratio")
     report.put("slo_miss", misses / (len(load.jobs) + len(load.deltas)),
                "ratio")
 
 
 def _layers(repro, report, workload, load, path, seed_rows, spans,
-            work_dir) -> None:
+            work_dir, seconds) -> None:
     """Per-layer metrics: service timings from the load, then direct
     calls into ``matrix.stream`` and ``live`` fed the same inputs."""
     from repro.live import LiveMiner
     from repro.service.live import DEFAULT_REPLAY_BUDGET_ROWS
 
-    done = [job for job in load.jobs if "history" in job]
-    waits, runs = zip(*(_history_times(job["history"]) for job in done))
     report.put("datasets.build_s", spans.median("datasets.build"), "s")
     report.put("service.submit_s", spans.median("service.submit"), "s")
-    report.put("service.queue_wait_s", statistics.median(waits), "s")
-    report.put("service.run_s", statistics.median(runs), "s")
-    report.put("service.result_fetch_s",
-               spans.median("service.result_fetch"), "s")
-    report.put("service.result_bytes",
-               statistics.median(job["bytes"] for job in done), "bytes")
     report.put("service.rejected", load.rejected(), "count")
+    done = [job for job in load.jobs if "history" in job]
+    runs = []
+    if done:
+        waits, runs = zip(*(_history_times(job["history"])
+                            for job in done))
+        report.put("service.queue_wait_s", statistics.median(waits), "s")
+        report.put("service.run_s", statistics.median(runs), "s")
+        report.put("service.result_fetch_s",
+                   spans.median("service.result_fetch"), "s")
+        report.put("service.result_bytes",
+                   statistics.median(job["bytes"] for job in done),
+                   "bytes")
+    else:
+        report.operation(False, "no job completed")
     report.put("bench.generator_late_p90_s", percentile(load.late, 0.9),
                "s")
 
@@ -547,9 +650,9 @@ def _layers(repro, report, workload, load, path, seed_rows, spans,
                "count")
 
     for _ in range(3):
-        with spans.span("matrix.stream"):
-            repro.mine(path, task="implication",
-                       threshold=workload.job_threshold)
+        for _, task, threshold in workload.tasks():
+            with spans.span("matrix.stream"):
+                repro.mine(path, task=task, threshold=threshold)
     report.put("matrix.stream_s", spans.median("matrix.stream"), "s")
 
     miner = LiveMiner(
@@ -565,3 +668,5 @@ def _layers(repro, report, workload, load, path, seed_rows, spans,
             miner.apply_committed()
     report.put("live.commit_s", spans.median("live.commit"), "s")
     report.put("live.apply_s", spans.median("live.apply"), "s")
+    busy = sum(runs) + spans.total("live.commit") + spans.total("live.apply")
+    report.put("service.busy_share", busy / seconds, "ratio")

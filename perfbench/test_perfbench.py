@@ -15,7 +15,13 @@ import pytest
 
 from batch import BatchWorkload, run_batch
 from common import ROOT
-from run import END_TO_END, PER_LAYER
+from run import (
+    END_TO_END,
+    PER_LAYER,
+    SERVICE_ONLY,
+    SERVICE_ONLY_LAYERS,
+    WORKLOADS,
+)
 from service_mixed import ServiceWorkload, run_service_mixed
 
 TINY_BATCH = BatchWorkload("tiny", "Wlog", 0.1)
@@ -23,7 +29,8 @@ TINY_BATCH = BatchWorkload("tiny", "Wlog", 0.1)
 TINY_SERVICE = ServiceWorkload(
     job_scale=0.3,
     job_interval=0.4,
-    live_scale=0.1,
+    live_clients=200,
+    live_urls=70,
     seed_rows=20,
     delta_rows=20,
     delta_interval=0.4,
@@ -53,8 +60,7 @@ def test_batch_emits_every_metric(trace):
     report = run_batch(TINY_BATCH, seed=3, seconds=0.1, trace=trace)
     assert report.correct and report.failed == 0, report.notes
     assert report.attempted > 0
-    names = (PER_LAYER if trace else END_TO_END)["wlog-dense"]
-    assert_emits(report, names)
+    assert_emits(report, PER_LAYER if trace else END_TO_END)
     assert report.metrics["error_rate"]["value"] == 0
 
 
@@ -63,8 +69,8 @@ def test_service_emits_every_metric(trace):
     report = run_service_mixed(seed=3, seconds=1.5, trace=trace,
                                workload=TINY_SERVICE)
     assert report.correct and report.failed == 0, report.notes
-    names = (PER_LAYER if trace else END_TO_END)["service-mixed"]
-    assert_emits(report, names)
+    assert_emits(report, PER_LAYER + SERVICE_ONLY_LAYERS if trace
+                 else END_TO_END + SERVICE_ONLY)
     assert report.metrics["error_rate"]["value"] == 0
 
 
@@ -84,6 +90,23 @@ def test_wrong_job_result_counts_as_error():
     assert report.metrics["error_rate"]["value"] > 0
 
 
+def test_failed_jobs_make_the_run_incorrect(monkeypatch, capsys):
+    import service_mixed
+
+    def refuse(load, job):
+        raise service_mixed.HttpError(503, "draining")
+
+    monkeypatch.setattr(service_mixed.Load, "_fetch_job", refuse)
+    report = run_service_mixed(seed=3, seconds=1.0, trace=True,
+                               workload=TINY_SERVICE)
+    assert not report.correct
+    assert report.metrics["error_rate"]["value"] > 0
+    assert "service.run_s" not in report.metrics
+    report.emit(PER_LAYER)
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"] is False and result["failed"] > 0
+
+
 def test_instances_differ_by_seed_only_in_labels():
     from common import build_instance
 
@@ -99,13 +122,9 @@ def test_instances_differ_by_seed_only_in_labels():
 def test_benchmark_json_names_every_metric():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
-    assert [w["name"] for w in spec["workloads"]] == list(END_TO_END)
-    assert {m["name"] for m in spec["end_to_end"]} == {
-        name for names in END_TO_END.values() for name in names
-    }
-    assert {m["name"] for m in spec["per_layer"]} == {
-        name for names in PER_LAYER.values() for name in names
-    }
+    assert [w["name"] for w in spec["workloads"]] == list(WORKLOADS)
+    assert [m["name"] for m in spec["end_to_end"]] == list(END_TO_END)
+    assert [m["name"] for m in spec["per_layer"]] == list(PER_LAYER)
 
 
 def test_fails_without_program(tmp_path):
