@@ -76,13 +76,12 @@ class MiningConfig:
         resolution contract):
 
         - ``"auto"`` (default) — pick from the data and the other
-          knobs, exactly as before this field existed: streaming
-          sources stream, ``memory_budget`` guards, ``partitioned`` /
-          ``transport`` partition, everything else runs in-memory DMC.
+          knobs: streaming sources stream, ``memory_budget`` guards,
+          everything else runs in-memory DMC.
         - ``"dmc"`` — the serial in-memory pipeline.
         - ``"vector"`` — the blocked numpy second-pass engine
-          (:mod:`repro.core.vector`); combined with ``n_workers`` /
-          ``transport`` it runs inside each partition.
+          (:mod:`repro.core.vector`); combined with ``n_workers > 1``
+          it runs inside each partition.
         - ``"stream"`` — the two-pass on-disk pipeline (an in-memory
           matrix is wrapped in a
           :class:`~repro.matrix.stream.MatrixSource`).
@@ -100,8 +99,6 @@ class MiningConfig:
         DMC-bitmap switch.  Leave ``None`` to keep the options' value
         (pass ``options=PruningOptions(bitmap=None)`` to disable the
         switch entirely).
-    partitioned:
-        Use the divide-and-conquer engine (in-memory data only).
     n_partitions / n_workers:
         Partitioned-engine tuning (``n_workers > 1`` mines partitions
         on the supervised parallel runtime,
@@ -113,16 +110,6 @@ class MiningConfig:
         serially in-process, and the directory for the shard ledger
         that lets a killed run resume with only its unfinished
         partitions.
-    transport / nodes:
-        ``transport="remote"`` mines the partitions on distributed node
-        agents (:mod:`repro.runtime.agent`) coordinated through the
-        lease-fenced ``ledger_dir`` (required), instead of the local
-        spawn pool; implies ``partitioned=True``.  ``nodes=N`` spawns N
-        agent subprocesses on this host; ``nodes=0`` (the default)
-        expects externally launched ``python -m repro agent --ledger
-        DIR`` processes.  A ready-made
-        :class:`repro.runtime.transport.Transport` instance is also
-        accepted.
     memory_budget:
         Hard counter-array budget in bytes; the DMC attempt degrades to
         the partitioned engine when exceeded (in-memory data only).
@@ -187,14 +174,11 @@ class MiningConfig:
     vector_block_rows: Optional[int] = None
     options: Optional[PruningOptions] = None
     bitmap: Optional[BitmapConfig] = None
-    partitioned: bool = False
     n_partitions: int = 4
     n_workers: Optional[int] = None
     task_timeout: Optional[float] = None
     task_retries: int = 2
     ledger_dir: Optional[str] = None
-    transport: Optional[object] = None
-    nodes: int = 0
     memory_budget: Optional[int] = None
     spill_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
@@ -222,52 +206,22 @@ class MiningConfig:
             )
         if self.vector_block_rows is not None and self.vector_block_rows < 1:
             raise ValueError("vector_block_rows must be at least 1")
-        if self.engine == "dmc" and (
-            self.partitioned or self.transport is not None
+        if (
+            self.engine in ("dmc", "vector", "partitioned")
+            and self.memory_budget is not None
         ):
-            raise ValueError(
-                "engine='dmc' is the single-process in-memory pipeline; "
-                "it cannot be combined with partitioned=/transport= "
-                "(use engine='partitioned' or engine='vector')"
-            )
-        if self.engine in ("dmc", "vector") and self.memory_budget is not None:
             raise ValueError(
                 f"engine={self.engine!r} and memory_budget= are mutually "
                 "exclusive (the budget's degradation path picks its own "
                 "engine; use engine='auto')"
             )
-        if self.engine == "stream" and (
-            self.partitioned
-            or self.transport is not None
-            or self.memory_budget is not None
-        ):
+        if self.engine == "stream" and self.memory_budget is not None:
             raise ValueError(
-                "engine='stream' cannot be combined with partitioned=/"
-                "transport=/memory_budget= (the streaming pipeline is "
-                "single-process)"
-            )
-        if self.partitioned and self.memory_budget is not None:
-            raise ValueError(
-                "partitioned=True and memory_budget= are mutually "
-                "exclusive (a budget already falls back to partitioned)"
+                "engine='stream' cannot be combined with memory_budget= "
+                "(the streaming pipeline is single-process)"
             )
         if self.task_retries < 0:
             raise ValueError("task_retries must be non-negative")
-        if self.transport is not None and self.memory_budget is not None:
-            raise ValueError(
-                "transport= and memory_budget= are mutually exclusive "
-                "(a distributed run is always partitioned)"
-            )
-        if self.transport == "remote" and self.ledger_dir is None:
-            raise ValueError(
-                "transport='remote' needs ledger_dir= as the shared "
-                "coordination directory"
-            )
-        if self.nodes:
-            if self.nodes < 0:
-                raise ValueError("nodes must be non-negative")
-            if self.transport != "remote":
-                raise ValueError("nodes= requires transport='remote'")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
         if self.serve_metrics_port is not None and not (
@@ -381,16 +335,13 @@ def resolve_engine(
 
     The contract, per ``engine=`` value:
 
-    - ``"auto"`` — exactly the pre-``engine=`` behavior: streaming data
-      streams; ``memory_budget`` runs the guarded carrier;
-      ``partitioned=True`` (now deprecated in this spelling) or a
-      ``transport`` partitions; anything else is in-memory DMC.  The
-      scan engine follows ``options.scan_engine``.
+    - ``"auto"`` — streaming data streams; ``memory_budget`` runs the
+      guarded carrier; anything else is in-memory DMC.  The scan
+      engine follows ``options.scan_engine``.
     - ``"dmc"`` / ``"vector"`` — the in-memory pipeline with the serial
       or vector scan; needs an in-memory matrix.  ``"vector"``
-      combined with ``partitioned=True``, a ``transport`` or
-      ``n_workers > 1`` runs the vector scan inside each partition
-      (``"partitioned+vector"``).
+      combined with ``n_workers > 1`` runs the vector scan inside each
+      partition (``"partitioned+vector"``).
     - ``"stream"`` — the two-pass streaming pipeline; an in-memory
       matrix is wrapped in a :class:`~repro.matrix.stream.
       MatrixSource`.  Combine with ``options.scan_engine="vector"``
@@ -420,8 +371,6 @@ def resolve_engine(
     if engine == "vector":
         scan = "vector"
 
-    wants_partition = config.partitioned or config.transport is not None
-
     if streaming:
         if engine in ("dmc", "vector", "partitioned"):
             hint = (
@@ -435,10 +384,10 @@ def resolve_engine(
                 f"engine={engine!r} needs in-memory data; load the "
                 f"source into a BinaryMatrix first{hint}"
             )
-        if wants_partition or config.memory_budget is not None:
+        if config.memory_budget is not None:
             raise ValueError(
-                "partitioned/distributed/memory-budget mining needs "
-                "in-memory data; load the source into a BinaryMatrix first"
+                "memory-budget mining needs in-memory data; load the "
+                "source into a BinaryMatrix first"
             )
         carrier = "stream"
     elif engine == "stream":
@@ -446,27 +395,11 @@ def resolve_engine(
     elif engine == "partitioned":
         carrier = "partitioned"
     elif engine == "vector":
-        carrier = (
-            "partitioned"
-            if wants_partition or (config.n_workers or 0) > 1
-            else "dmc"
-        )
-    elif engine == "dmc":
-        carrier = "dmc"  # config rejected partitioned/transport already
-    else:  # auto
-        if config.memory_budget is not None:
-            carrier = "guarded"
-        elif wants_partition:
-            carrier = "partitioned"
-            if config.partitioned:
-                warnings.warn(
-                    "partitioned=True is deprecated; pass "
-                    "engine='partitioned' instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-        else:
-            carrier = "dmc"
+        carrier = "partitioned" if (config.n_workers or 0) > 1 else "dmc"
+    elif engine == "auto" and config.memory_budget is not None:
+        carrier = "guarded"
+    else:
+        carrier = "dmc"
 
     block_rows = (
         config.vector_block_rows
@@ -547,7 +480,6 @@ def _resolve_telemetry(
                 threshold=str(config.threshold),
                 engine=plan.name,
                 vector_block_rows=stats.vector_block_rows,
-                partitioned=config.partitioned,
                 n_workers=config.n_workers,
             )
 
@@ -731,8 +663,6 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
             task_retries=config.task_retries,
             ledger_dir=config.ledger_dir,
             storage=config.storage,
-            transport=config.transport,
-            nodes=config.nodes,
             stats=stats,
             observer=observer,
             scan_engine=options.scan_engine,

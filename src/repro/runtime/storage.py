@@ -165,10 +165,10 @@ class Storage:
 
         Unlike :meth:`replace`, a link never overwrites: if ``dst``
         already exists the call returns ``False`` and the filesystem is
-        untouched.  This is the first-writer-wins primitive the
-        distributed result commit is built on — two nodes racing to
-        publish the same deterministic shard result cannot clobber each
-        other; exactly one link lands and the loser observes the dedup.
+        untouched.  This is the first-writer-wins primitive the service's
+        result commit is built on — two writers racing to publish the
+        same deterministic result cannot clobber each other; exactly one
+        link lands and the loser observes the dedup.
         The parent directory is fsynced after a winning link so the new
         name survives power loss.
         """
@@ -268,8 +268,8 @@ class Storage:
         hits an existing ``path`` (False — another writer already
         published; ours is discarded untouched).  Either way the temp
         file is cleaned up.  The existing ``path`` is **never**
-        modified — that immutability is what makes duplicate result
-        delivery from re-dispatched shard nodes safe to dedup.
+        modified — that immutability is what makes a duplicate result
+        delivery (a job re-run after a crash) safe to dedup.
         """
         tmp_path = f"{path}.tmp-{os.getpid()}-{id(self) & 0xFFFF:04x}"
         try:
@@ -410,8 +410,8 @@ class FaultyStorage(LocalStorage):
 # Leases with monotonic fencing tokens
 # ----------------------------------------------------------------------
 #
-# The distributed transport coordinates nodes through shared storage,
-# and shared storage has the classic split-brain problem: a node that
+# The shard ledger's owner lease coordinates supervisors through shared
+# storage, which has the classic split-brain problem: a process that
 # pauses (GC, swap, network partition) past its lease and then comes
 # back must not act on a lease somebody else now holds.  Expiry alone
 # cannot prevent that — clocks skew, and the returning node's "am I
@@ -421,9 +421,7 @@ class FaultyStorage(LocalStorage):
 # issued under, and any observer holding a newer token makes the old
 # write detectably stale.  Here the lease file *is* the authority —
 # :func:`verify_lease` re-reads it and raises :class:`LeaseFenced` on
-# any owner/token mismatch — and the result commit itself goes through
-# :meth:`Storage.create_exclusive_text`, so even an unfenced zombie
-# write can only ever dedup against the winner, never clobber it.
+# any owner/token mismatch.
 
 
 class LeaseFenced(RuntimeError):
@@ -431,10 +429,10 @@ class LeaseFenced(RuntimeError):
 
     Raised by :func:`verify_lease` / :func:`renew_lease` when the lease
     file on disk no longer carries the caller's owner id and token —
-    i.e. the lease expired and was re-acquired (straggler re-dispatch),
-    or a second coordinator took over (:class:`~repro.runtime.
-    supervisor.LedgerFenced` wraps this for the shard ledger).  The
-    holder must stop acting on the leased resource immediately.
+    i.e. the lease expired and was re-acquired, or a second
+    coordinator took over (:class:`~repro.runtime.supervisor.
+    LedgerFenced` wraps this for the shard ledger).  The holder must
+    stop acting on the leased resource immediately.
     """
 
 

@@ -14,10 +14,9 @@ fsync + atomic rename + parent-dir fsync — the shard-ledger
 discipline), so a ``kill -9`` at any instruction leaves either the
 previous state or the next one, never a torn record.  Results are
 published under ``results/`` with :meth:`~repro.runtime.storage.
-Storage.create_exclusive_text` — the first-writer-wins primitive of
-the distributed result commit — so a recovered job re-running
-concurrently with a straggler can never clobber or duplicate a
-completed result.
+Storage.create_exclusive_text` — a first-writer-wins commit — so a
+recovered job re-running concurrently with a straggler can never
+clobber or duplicate a completed result.
 
 :meth:`JobIndex.recover` is the restart path: rescan ``jobs/``, and
 for every job the dead process left ``running``, either promote it to

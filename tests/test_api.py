@@ -37,7 +37,7 @@ class TestConfig:
     def test_partitioned_and_budget_conflict(self):
         with pytest.raises(ValueError, match="mutually"):
             MiningConfig(
-                threshold=0.9, partitioned=True, memory_budget=1024
+                threshold=0.9, engine="partitioned", memory_budget=1024
             )
 
     def test_minconf_and_minsim_conflict(self):
@@ -184,13 +184,14 @@ class TestDeprecations:
                 matrix, 0.9, n_partitions=2, candidate_log=[]
             )
 
-    def test_partitioned_flag_warns_but_works(self, matrix):
-        with pytest.warns(DeprecationWarning, match="engine='partitioned'"):
-            result = mine(matrix, minconf=0.9, partitioned=True)
-        assert result.engine == "partitioned"
-        assert result.rules.pairs() == find_implication_rules(
-            matrix, 0.9
-        ).pairs()
+    @pytest.mark.parametrize(
+        "knob",
+        [{"partitioned": True}, {"transport": "remote"}, {"nodes": 2}],
+        ids=["partitioned", "transport", "nodes"],
+    )
+    def test_removed_partition_knobs_raise(self, knob):
+        with pytest.raises(TypeError):
+            MiningConfig(threshold=0.9, **knob)
 
     def test_explicit_engine_does_not_warn(self, matrix):
         import warnings

@@ -50,6 +50,16 @@ class TestParser:
         assert defaults.no_spill_degrade is False
         assert defaults.preflight_disk is False
 
+    def test_distributed_options_removed(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["agent", "--ledger", "/tmp/l"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["mine-imp", "data.txt", "--transport", "remote"]
+            )
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["mine-imp", "data.txt", "--nodes", "2"])
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])
@@ -137,6 +147,40 @@ class TestMiningCommands:
         )
         assert code == 2
         assert "cannot be combined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("partitions", [3, 5])
+    def test_partitions_reach_the_partitioned_engine(
+        self, capsys, tmp_path, partitions
+    ):
+        """--partitions applies without --workers/--ledger too."""
+        import json
+
+        from repro.matrix.binary_matrix import BinaryMatrix
+        from repro.matrix.io import save_transactions
+
+        path = str(tmp_path / "rows.txt")
+        save_transactions(
+            BinaryMatrix.from_transactions(
+                [["a", "b"], ["a", "b", "c"], ["c"], ["b", "c"]] * 3
+            ),
+            path,
+        )
+        metrics = str(tmp_path / "m.json")
+        assert main(
+            ["mine-imp", path, "--minconf", "0.5", "--engine",
+             "partitioned", "--partitions", str(partitions),
+             "--metrics", metrics]
+        ) == 0
+        with open(metrics, encoding="utf-8") as handle:
+            document = json.load(handle)
+        (family,) = [
+            family for family in document["metrics"]
+            if family["name"] == "dmc_partition_new_candidates"
+        ]
+        assert sorted(
+            int(instance["labels"]["partition"])
+            for instance in family["instances"]
+        ) == list(range(partitions))
 
     @pytest.mark.slow
     def test_supervised_workers_match_serial(

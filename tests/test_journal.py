@@ -227,3 +227,74 @@ class TestJournalCli:
             ["journal", "tail", str(tmp_path / "absent.jsonl")]
         ) == 1
         assert "cannot read journal" in capsys.readouterr().err
+
+
+class TestPreDistributedRemovalArchives:
+    """Records written while the node-agent transport existed still
+    load: its counters and events are dropped, the rest survives."""
+
+    STATS = {
+        "timer": {"partition-mining": 0.25, "verify-candidates": 0.05},
+        "columns_total": 6,
+        "rules_partial": 3,
+        "engine": "partitioned",
+        "vector_block_rows": None,
+        "partition_candidates": [4, 1],
+        "worker_restarts": 1,
+        "task_retries": 2,
+        "tasks_quarantined": 0,
+        "lease_expiries": 2,
+        "node_redispatches": 1,
+        "node_results_deduped": 1,
+        "degradations": ["node-serial-fallback"],
+    }
+
+    JOURNAL = "\n".join([
+        '{"run_id":"r-old","seq":0,"ts":100.0,"event":"run-start",'
+        '"task":"implication","threshold":"0.9","engine":"partitioned",'
+        '"vector_block_rows":null,"partitioned":true,"n_workers":null}',
+        '{"run_id":"r-old","seq":1,"ts":100.1,"event":"phase-start",'
+        '"name":"partition-mining"}',
+        '{"run_id":"r-old","seq":2,"ts":100.2,"event":"lease-expired",'
+        '"task_id":"implication-part-0001","token":1}',
+        '{"run_id":"r-old","seq":3,"ts":100.3,"event":"node-redispatch",'
+        '"task_id":"implication-part-0001","token":2,"node":"node-b"}',
+        '{"run_id":"r-old","seq":4,"ts":100.4,"event":"task-retry",'
+        '"task_id":"implication-part-0002","reason":"worker died"}',
+        '{"run_id":"r-old","seq":5,"ts":100.5,"event":"phase-end",'
+        '"name":"partition-mining","seconds":0.4}',
+        '{"run_id":"r-old","seq":6,"ts":100.6,"event":"run-end",'
+        '"rules":3,"rows_scanned":0,"degradations":[]}',
+    ]) + "\n"
+
+    def test_stats_from_a_pre_removal_record(self):
+        from repro.mining.export import stats_from_json
+
+        for stats in (
+            PipelineStats.from_dict(dict(self.STATS)),
+            stats_from_json(json.dumps(self.STATS)),
+        ):
+            assert stats.engine == "partitioned"
+            assert stats.partition_candidates == [4, 1]
+            assert stats.worker_restarts == 1
+            assert stats.task_retries == 2
+            assert stats.degradations == ["node-serial-fallback"]
+            assert stats.timer.seconds["verify-candidates"] == 0.05
+            assert PipelineStats.from_dict(stats.to_dict()) == stats
+
+    def test_summarize_a_journal_with_node_events(self, tmp_path, capsys):
+        path = str(tmp_path / "old.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(self.JOURNAL)
+        summary = summarize_journal(path)
+        assert summary["run_id"] == "r-old"
+        assert summary["rules"] == 3
+        assert summary["events"]["lease-expired"] == 1
+        assert summary["events"]["node-redispatch"] == 1
+        assert "task-retry" in [
+            incident["event"] for incident in summary["incidents"]
+        ]
+        assert main(["journal", "summarize", path]) == 0
+        out = capsys.readouterr().out
+        assert "r-old" in out
+        assert "phases:" in out

@@ -73,6 +73,26 @@ class TestExpositionFormat:
         for name, type_index in types.items():
             assert helps[name] == type_index - 1
 
+    def test_partitioned_run_recovery_families(self):
+        """A partitioned run exports exactly the spawn-pool recovery
+        counters; the node-agent families are gone."""
+        from repro.core.stats import PipelineStats
+
+        stats = PipelineStats(
+            partition_candidates=[3, 1], worker_restarts=1, task_retries=2
+        )
+        registry = MetricsRegistry()
+        registry.record_pipeline(stats)
+        text = registry.to_prometheus()
+        for family in (
+            "dmc_worker_restarts_total",
+            "dmc_task_retries_total",
+            "dmc_tasks_quarantined_total",
+        ):
+            assert f"# TYPE {family} counter" in text
+        assert "_node_" not in text
+        assert "nodes_alive" not in text
+
     def test_type_line_kinds(self):
         text = _filled_registry().to_prometheus()
         assert "# TYPE dmc_rows_scanned_total counter" in text

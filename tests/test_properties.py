@@ -7,9 +7,11 @@ combination — no false positives, no false negatives.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import mine
 from repro.baselines.bruteforce import (
     implication_rules_bruteforce,
     similarity_rules_bruteforce,
@@ -17,10 +19,6 @@ from repro.baselines.bruteforce import (
 from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.miss_counting import BitmapConfig
-from repro.core.partitioned import (
-    find_implication_rules_partitioned,
-    find_similarity_rules_partitioned,
-)
 from repro.matrix.binary_matrix import BinaryMatrix
 
 # A compact matrix strategy: list of rows over a small column universe.
@@ -157,25 +155,116 @@ def test_similarity_symmetry_canonicalization(matrix, threshold):
         )
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(
-    matrix=matrices,
-    threshold=thresholds,
-    n_partitions=st.integers(min_value=1, max_value=5),
-)
-def test_partitioned_equals_single_pass(matrix, threshold, n_partitions):
-    """The Section 7 divide-and-conquer variant is exact too."""
-    want = implication_rules_bruteforce(matrix, threshold).pairs()
-    got = find_implication_rules_partitioned(
-        matrix, threshold, n_partitions=n_partitions
-    ).pairs()
-    assert got == want
-    want_sim = similarity_rules_bruteforce(matrix, threshold).pairs()
-    got_sim = find_similarity_rules_partitioned(
-        matrix, threshold, n_partitions=n_partitions
-    ).pairs()
-    assert got_sim == want_sim
+# ----------------------------------------------------------------------
+# Engine conformance: every (engine, task) pair against the oracle
+# ----------------------------------------------------------------------
+
+#: Every engine configuration reachable through :func:`repro.mine`,
+#: with the hypothesis example budget it gets (the spawn-pool cases pay
+#: about a second of worker start-up per example).
+ENGINE_CASES = {
+    "dmc": (dict(engine="dmc"), 40),
+    "vector": (dict(engine="vector", vector_block_rows=3), 40),
+    "stream": (dict(engine="stream"), 30),
+    "stream+vector": (
+        dict(
+            engine="stream",
+            options=PruningOptions(scan_engine="vector"),
+            vector_block_rows=3,
+        ),
+        30,
+    ),
+    "partitioned": (dict(engine="partitioned"), 40),
+    "partitioned-pool": (dict(engine="partitioned", n_workers=2), 5),
+    "partitioned+vector": (
+        dict(
+            engine="partitioned",
+            options=PruningOptions(scan_engine="vector"),
+        ),
+        30,
+    ),
+    "auto-budget": (dict(engine="auto"), 40),
+}
+
+ORACLES = {
+    "implication": implication_rules_bruteforce,
+    "similarity": similarity_rules_bruteforce,
+}
+
+
+@st.composite
+def conformance_matrices(draw):
+    """Matrices built column-first so the edge cases are easy to hit:
+    zero columns, one row, empty columns, duplicate columns and
+    all-ones columns, in any column order."""
+    n_rows = draw(st.one_of(st.just(1), st.integers(0, 10)))
+    row_ids = st.frozensets(
+        st.integers(0, max(n_rows - 1, 0)), max_size=n_rows
+    )
+    columns = draw(st.lists(row_ids, max_size=7))
+    extras = draw(
+        st.lists(st.sampled_from(("empty", "ones", "duplicate")), max_size=3)
+    )
+    for extra in extras:
+        if extra == "empty":
+            columns.append(frozenset())
+        elif extra == "ones":
+            columns.append(frozenset(range(n_rows)))
+        elif columns:
+            columns.append(draw(st.sampled_from(columns)))
+    columns = draw(st.permutations(columns))
+    return BinaryMatrix.from_column_sets(columns, n_rows)
+
+
+def boundary_thresholds(matrix):
+    """Thresholds that sit exactly on a pair's confidence or similarity
+    (as ``"p/q"`` strings), plus 1 and arbitrary small fractions."""
+    sets = matrix.column_sets()
+    exact = set()
+    for i, left in enumerate(sets):
+        for right in sets[i + 1:]:
+            hits = len(left & right)
+            if not hits:
+                continue
+            exact.add(Fraction(hits, len(left)))
+            exact.add(Fraction(hits, len(right)))
+            exact.add(Fraction(hits, len(left | right)))
+    strategies = [st.just(Fraction(1)), thresholds]
+    if exact:
+        strategies.append(st.sampled_from(sorted(exact)))
+    return st.one_of(*strategies).map(
+        lambda value: f"{value.numerator}/{value.denominator}"
+    )
+
+
+@pytest.mark.parametrize("task", sorted(ORACLES))
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_engine_conformance(case, task):
+    """Every engine mines exactly the oracle's rules, for both tasks."""
+    knobs, examples = ENGINE_CASES[case]
+
+    @settings(
+        max_examples=examples,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data(), matrix=conformance_matrices())
+    def check(data, matrix):
+        threshold = data.draw(boundary_thresholds(matrix), label="threshold")
+        extra = {}
+        if knobs.get("engine") == "partitioned":
+            extra["n_partitions"] = data.draw(
+                st.integers(2, 5), label="n_partitions"
+            )
+        if case == "auto-budget":
+            extra["memory_budget"] = data.draw(
+                st.sampled_from((1, 64, 1 << 20)), label="memory_budget"
+            )
+        result = mine(matrix, task=task, threshold=threshold, **knobs, **extra)
+        want = ORACLES[task](matrix, threshold)
+        assert result.rules == want
+
+    check()
 
 
 @relaxed

@@ -556,7 +556,7 @@ def test_mine_facade_threads_storage_and_flags(tmp_path, demo_path):
 
 
 # ----------------------------------------------------------------------
-# Lease primitives (the distributed transport's fencing layer)
+# Lease primitives (the shard ledger's owner-lease fencing layer)
 # ----------------------------------------------------------------------
 
 

@@ -209,6 +209,33 @@ class TestPool:
         assert report.worker_restarts == 0
         assert report.tasks_quarantined == 0
 
+    def test_tasks_the_pool_abandons_finish_in_process(self, monkeypatch):
+        """A pool that gives up mid-run (as a broken pool does) leaves
+        its unfinished partitions to the supervisor's serial rung."""
+        from repro.runtime.transport import LocalTransport
+
+        real_run_tasks = LocalTransport.run_tasks
+        reports = []
+
+        def gives_up_halfway(self, supervisor, pending, report):
+            real_run_tasks(self, supervisor, pending[:2], report)
+            report.pool_broken = True
+            reports.append(report)
+
+        monkeypatch.setattr(LocalTransport, "run_tasks", gives_up_halfway)
+        matrix = _matrix()
+        got = find_implication_rules_partitioned(
+            matrix, 0.7, n_partitions=4, n_workers=2
+        )
+        assert got == find_implication_rules(matrix, 0.7)
+        (report,) = reports
+        assert report.mode == "pool"
+        assert report.pool_broken
+        assert len(report.outcomes) == 4
+        assert not any(
+            outcome.quarantined for outcome in report.outcomes.values()
+        )
+
     @pytest.mark.slow
     def test_crash_recovery_matches_serial_rules(self):
         matrix = _matrix()

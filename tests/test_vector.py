@@ -212,11 +212,6 @@ class TestResolver:
         plan, _ = self._resolve(memory_budget=1024)
         assert (plan.name, plan.carrier) == ("dmc", "guarded")
 
-    def test_auto_partitioned_flag_warns(self):
-        with pytest.warns(DeprecationWarning, match="engine='partitioned'"):
-            plan, _ = self._resolve(partitioned=True)
-        assert plan.carrier == "partitioned"
-
     def test_explicit_dmc(self):
         plan, _ = self._resolve(engine="dmc")
         assert (plan.name, plan.carrier, plan.scan_engine) == (
@@ -264,9 +259,17 @@ class TestResolver:
             "partitioned+vector", "partitioned",
         )
 
-    def test_vector_with_partitioned_flag_partitions(self):
-        plan, _ = self._resolve(engine="vector", partitioned=True)
-        assert plan.name == "partitioned+vector"
+    def test_vector_partition_spellings_agree(self):
+        by_workers, _ = self._resolve(engine="vector", n_workers=2)
+        by_engine, _ = self._resolve(
+            engine="partitioned",
+            options=PruningOptions(scan_engine="vector"),
+        )
+        assert by_workers == by_engine
+
+    def test_auto_partitioned_flag_is_rejected(self):
+        with pytest.raises(TypeError, match="partitioned"):
+            self._resolve(partitioned=True)
 
     def test_dmc_rejects_vector_scan_option(self):
         with pytest.raises(ValueError, match="engine='vector'"):
@@ -286,7 +289,7 @@ class TestResolver:
 
     def test_streaming_rejects_partition_requests(self):
         with pytest.raises(ValueError, match="in-memory"):
-            self._resolve(streaming=True, transport="thread")
+            self._resolve(streaming=True, memory_budget=1024)
 
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -298,11 +301,9 @@ class TestResolver:
 
     def test_config_conflicts(self):
         for kwargs in (
-            {"engine": "dmc", "partitioned": True},
-            {"engine": "dmc", "transport": "thread"},
             {"engine": "dmc", "memory_budget": 1024},
             {"engine": "vector", "memory_budget": 1024},
-            {"engine": "stream", "partitioned": True},
+            {"engine": "partitioned", "memory_budget": 1024},
             {"engine": "stream", "memory_budget": 1024},
         ):
             with pytest.raises(ValueError):
@@ -347,8 +348,8 @@ class TestMineVector:
         result = mine(
             matrix,
             minconf=0.7,
-            engine="vector",
-            partitioned=True,
+            engine="partitioned",
+            options=PruningOptions(scan_engine="vector"),
             n_partitions=3,
         )
         assert result.engine == "partitioned+vector"
