@@ -31,13 +31,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Optional
 
-from repro.core.dmc_imp import PruningOptions, find_implication_rules
-from repro.core.dmc_sim import find_similarity_rules
 from repro.core.miss_counting import BitmapConfig
-from repro.core.partitioned import (
-    find_implication_rules_partitioned,
-    find_similarity_rules_partitioned,
-)
+from repro.core.partitioned import find_rules_partitioned
+from repro.core.pipeline import PruningOptions, mine_matrix, mining_task
 from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import BinaryMatrix, Vocabulary
@@ -45,15 +41,11 @@ from repro.matrix.stream import (
     FileSource,
     MatrixSource,
     TransactionSource,
-    stream_implication_rules,
-    stream_similarity_rules,
+    stream_rules,
 )
 from repro.observe.progress import NULL_OBSERVER
 from repro.runtime.guards import mine_with_memory_budget
 from repro.runtime.storage import io_error_kind, terminal_io_error
-
-#: The two rule kinds of the paper (Sections 4 and 5).
-TASKS = ("implication", "similarity")
 
 #: Valid values of :attr:`MiningConfig.engine`.
 ENGINES = ("auto", "dmc", "stream", "partitioned", "vector")
@@ -192,10 +184,7 @@ class MiningConfig:
     profile: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise ValueError(
-                f"unknown task {self.task!r}; expected one of {TASKS}"
-            )
+        mining_task(self.task)
         if self.threshold is None:
             raise ValueError(
                 "a threshold is required (threshold=, minconf= or minsim=)"
@@ -592,13 +581,14 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
             journal.close()
     tracer = getattr(observer, "tracer", None)
     trace = tracer.to_dict() if tracer is not None else None
-    vocabulary = matrix.vocabulary if matrix is not None else None
     return MiningResult(
         rules=rules,
         stats=stats,
         engine=engine,
         trace=trace,
-        vocabulary=vocabulary,
+        vocabulary=getattr(
+            source if matrix is None else matrix, "vocabulary", None
+        ),
         run_id=getattr(observer, "run_id", config.run_id),
     )
 
@@ -610,75 +600,52 @@ def _run_plan(plan, config, matrix, source, options, stats, observer):
     dispatch on ``plan.carrier``.
     """
     if plan.carrier == "stream":
-        streamer = (
-            stream_implication_rules
-            if config.task == "implication"
-            else stream_similarity_rules
-        )
-        rules = streamer(
+        rules = stream_rules(
             source,
+            config.task,
             config.threshold,
-            bitmap=options.bitmap,
+            options,
             spill_dir=config.spill_dir,
             checkpoint_dir=config.checkpoint_dir,
-            guard=options.memory_guard,
             stats=stats,
             observer=observer,
             storage=config.storage,
             spill_degrade=config.spill_degrade,
             preflight=config.preflight_disk,
-            scan_engine=options.scan_engine,
-            vector_block_rows=options.vector_block_rows,
         )
         return rules, plan.name
+    if plan.carrier == "dmc":
+        rules = mine_matrix(
+            matrix, config.task, config.threshold, options, stats, observer
+        )
+        return rules, plan.name
+    # The guarded carrier falls back to partitioning: both take these.
+    partitioning = dict(
+        n_partitions=config.n_partitions,
+        n_workers=config.n_workers,
+        task_timeout=config.task_timeout,
+        task_retries=config.task_retries,
+        ledger_dir=config.ledger_dir,
+        storage=config.storage,
+        stats=stats,
+        observer=observer,
+    )
     if plan.carrier == "guarded":
         rules, carrier_ran = mine_with_memory_budget(
             matrix,
             config.threshold,
             kind=config.task,
             budget_bytes=config.memory_budget,
-            n_partitions=config.n_partitions,
-            n_workers=config.n_workers,
-            task_timeout=config.task_timeout,
-            task_retries=config.task_retries,
-            ledger_dir=config.ledger_dir,
-            storage=config.storage,
-            stats=stats,
-            observer=observer,
             options=options,
+            **partitioning,
         )
         return rules, _engine_name(carrier_ran, plan.scan_engine)
-    if plan.carrier == "partitioned":
-        partitioner = (
-            find_implication_rules_partitioned
-            if config.task == "implication"
-            else find_similarity_rules_partitioned
-        )
-        rules = partitioner(
-            matrix,
-            config.threshold,
-            n_partitions=config.n_partitions,
-            n_workers=config.n_workers,
-            task_timeout=config.task_timeout,
-            task_retries=config.task_retries,
-            ledger_dir=config.ledger_dir,
-            storage=config.storage,
-            stats=stats,
-            observer=observer,
-            scan_engine=options.scan_engine,
-            vector_block_rows=options.vector_block_rows,
-        )
-        return rules, plan.name
-    miner = (
-        find_implication_rules
-        if config.task == "implication"
-        else find_similarity_rules
-    )
-    rules = miner(
+    rules = find_rules_partitioned(
         matrix,
+        config.task,
         config.threshold,
-        options=options,
-        stats=stats,
-        observer=observer,
+        scan_engine=options.scan_engine,
+        vector_block_rows=options.vector_block_rows,
+        **partitioning,
     )
     return rules, plan.name

@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--stream", action="store_true",
             help="mine with the two-pass streaming pipeline (never "
-                 "loads the matrix; numeric ids only)",
+                 "loads the matrix)",
         )
         sub.add_argument(
             "--validate", choices=("strict", "skip", "clamp"), default=None,
@@ -443,7 +443,6 @@ def _mine(args: argparse.Namespace) -> int:
                 from repro.matrix.io import load_transactions
 
                 data = load_transactions(args.path, validator=validator)
-                vocabulary = data.vocabulary
             threshold = (
                 {"minconf": args.minconf}
                 if args.command == "mine-imp"
@@ -500,6 +499,7 @@ def _mine(args: argparse.Namespace) -> int:
                 **threshold,
             )
             rules = result.rules
+            vocabulary = result.vocabulary
             if result.stats.degradations:
                 print(
                     "storage degradations taken: "

@@ -7,6 +7,8 @@ Public entry points:
   ``>= minconf``.
 - :func:`~repro.core.dmc_sim.find_similarity_rules` — DMC-sim
   (Algorithm 5.1): every column pair with similarity ``>= minsim``.
+- :mod:`~repro.core.pipeline` — the pass driver both of them (and the
+  streaming carrier) run, keyed by task.
 - :func:`~repro.core.partitioned.find_implication_rules_partitioned` /
   :func:`~repro.core.partitioned.find_similarity_rules_partitioned` —
   the Section 7 divide-and-conquer extension.

@@ -1,101 +1,22 @@
 """DMC-imp: the full implication-rule pipeline (Algorithm 4.2).
 
-Steps, as in the paper:
-
-1. Pre-scan: count ``ones(c_i)`` and bucket rows by density (Section
-   4.1) so the second scan reads sparsest rows first.
-2. Extract 100%-confidence rules with the simplified (id-set) scan and
-   its bitmap tail.
-3. Remove every column whose miss budget is zero — such columns can only
-   participate in 100% rules, which step 2 already found.  (We use the
-   exact ``maxmiss == 0`` cutoff; see DESIGN.md on the paper's
-   off-by-one.)
-4. Extract the remaining ``>= minconf`` rules with DMC-base + DMC-bitmap
-   over the restricted matrix, and merge with step 2's output.
+The pass sequence — pre-scan, 100% rules, removal of the columns whose
+miss budget is zero, <100% rules — is shared with DMC-sim and lives in
+:mod:`repro.core.pipeline`; this module names the implication task.
+:class:`PruningOptions` and :func:`second_pass_scan` are re-exported
+from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.miss_counting import (
-    BitmapConfig,
-    miss_counting_scan,
-    zero_miss_scan,
-)
-from repro.core.policies import HundredPercentPolicy, ImplicationPolicy
+from repro.core.pipeline import PruningOptions, mine_matrix, second_pass_scan
 from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats
-from repro.core.thresholds import as_fraction, confidence_removal_cutoff
 from repro.matrix.binary_matrix import BinaryMatrix
-from repro.matrix.reorder import scan_order
-from repro.observe.progress import NULL_OBSERVER
 
-
-@dataclass(frozen=True)
-class PruningOptions:
-    """Toggles for the paper's optimizations (ablation benchmarks).
-
-    Every toggle is semantics-preserving: disabling one changes time and
-    memory, never the mined rules.
-    """
-
-    #: Section 4.1 — scan sparsest density buckets first.
-    row_reordering: bool = True
-    #: Section 4.3 — split mining into a 100%-rule pass plus a
-    #: low-frequency column removal before the <100% pass.
-    hundred_percent_pass: bool = True
-    #: Section 4.2 — switch to DMC-bitmap near the end of the scan
-    #: (None disables the switch entirely).
-    bitmap: Optional[BitmapConfig] = field(default_factory=BitmapConfig)
-    #: Section 5.1 — drop pairs whose cardinality ratio is below minsim
-    #: (similarity mining only).
-    density_pruning: bool = True
-    #: Section 5.2 — drop pairs whose best achievable similarity is
-    #: below minsim (similarity mining only).
-    max_hits_pruning: bool = True
-    #: Optional :class:`repro.runtime.guards.MemoryGuard` enforcing a
-    #: hard counter-array budget on every scan (duck-typed here to keep
-    #: the core free of runtime imports).
-    memory_guard: Optional[object] = None
-    #: Second-pass engine: ``"serial"`` runs the row-at-a-time scan of
-    #: :mod:`repro.core.miss_counting`; ``"vector"`` runs the blocked
-    #: numpy engine of :mod:`repro.core.vector`.  Both produce the
-    #: identical rule set; the zero-miss 100%-rule pass always runs
-    #: serial (its id-set layout is already near-optimal).
-    scan_engine: str = "serial"
-    #: Rows per block for ``scan_engine="vector"`` (None = the engine's
-    #: :data:`repro.core.vector.DEFAULT_BLOCK_ROWS`).
-    vector_block_rows: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.scan_engine not in ("serial", "vector"):
-            raise ValueError(
-                f"unknown scan_engine {self.scan_engine!r}; "
-                "use 'serial' or 'vector'"
-            )
-
-
-def second_pass_scan(options: PruningOptions):
-    """Return the miss-counting scan callable ``options`` selects.
-
-    The returned callable has :func:`repro.core.miss_counting.
-    miss_counting_scan`'s signature — ``(matrix, policy, order=...,
-    stats=..., bitmap=..., rules=..., guard=..., observer=...)`` — so
-    the DMC pipelines call it without knowing which engine is under it.
-    """
-    if options.scan_engine != "vector":
-        return miss_counting_scan
-    from repro.core.vector import vector_scan
-
-    def scan(matrix, policy, **kwargs):
-        return vector_scan(
-            matrix, policy,
-            block_rows=options.vector_block_rows, **kwargs,
-        )
-
-    return scan
+__all__ = ["PruningOptions", "find_implication_rules", "second_pass_scan"]
 
 
 def find_implication_rules(
@@ -107,82 +28,9 @@ def find_implication_rules(
 ) -> RuleSet:
     """Mine every canonical rule with confidence ``>= minconf``.
 
-    This is the library's primary implication-mining entry point.  The
-    result is exact: no false positives, no false negatives (within the
-    paper's canonical-direction convention, Section 2).  ``observer``
-    (a :class:`repro.observe.RunObserver` or any
-    :class:`repro.observe.ProgressObserver`) watches phases, rows and
-    the bitmap switch; it never changes the mined rules.
+    This is the library's primary implication-mining entry point; see
+    :func:`repro.core.pipeline.mine_matrix`.
     """
-    minconf = as_fraction(minconf)
-    if options is None:
-        options = PruningOptions()
-    if stats is None:
-        stats = PipelineStats()
-    if observer is None:
-        observer = NULL_OBSERVER
-
-    with stats.timer.phase("pre-scan"), observer.phase("pre-scan"):
-        ones = matrix.column_ones()
-        order = scan_order(matrix, sparsest_first=options.row_reordering)
-        stats.columns_total = matrix.n_columns
-
-    rules = RuleSet()
-
-    scan = second_pass_scan(options)
-
-    if not options.hundred_percent_pass:
-        # Ablation: one combined pass over the full matrix.
-        with stats.timer.phase("combined"), observer.phase("combined"):
-            policy = ImplicationPolicy(ones, minconf)
-            scan(
-                matrix,
-                policy,
-                order=order,
-                stats=stats.partial_scan,
-                bitmap=options.bitmap,
-                rules=rules,
-                guard=options.memory_guard,
-                observer=observer,
-            )
-        stats.rules_partial = len(rules)
-        return rules
-
-    with stats.timer.phase("100%-rules"), observer.phase("100%-rules"):
-        zero_miss_scan(
-            matrix,
-            HundredPercentPolicy(ones),
-            order=order,
-            stats=stats.hundred_percent_scan,
-            bitmap=options.bitmap,
-            rules=rules,
-            guard=options.memory_guard,
-            observer=observer,
-        )
-        stats.rules_hundred_percent = len(rules)
-
-    if minconf == 1:
-        return rules
-
-    with stats.timer.phase("<100%-rules"), observer.phase("<100%-rules"):
-        cutoff = confidence_removal_cutoff(minconf)
-        keep = [c for c in range(matrix.n_columns) if ones[c] > cutoff]
-        stats.columns_removed = matrix.n_columns - len(keep)
-        restricted = matrix.restrict_columns(keep)
-        restricted_order = scan_order(
-            restricted, sparsest_first=options.row_reordering
-        )
-        policy = ImplicationPolicy(restricted.column_ones(), minconf)
-        scan(
-            restricted,
-            policy,
-            order=restricted_order,
-            stats=stats.partial_scan,
-            bitmap=options.bitmap,
-            rules=rules,
-            guard=options.memory_guard,
-            observer=observer,
-        )
-        stats.rules_partial = len(rules) - stats.rules_hundred_percent
-
-    return rules
+    return mine_matrix(
+        matrix, "implication", minconf, options, stats, observer
+    )

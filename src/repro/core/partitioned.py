@@ -31,20 +31,17 @@ import warnings
 from contextlib import nullcontext
 from typing import List, Optional, Set, Tuple
 
-from repro.core.miss_counting import miss_counting_scan
+from repro.core.incremental import pair_rule
+from repro.core.pipeline import (
+    PruningOptions,
+    mining_task,
+    phase,
+    second_pass_scan,
+)
 from repro.core.policies import ImplicationPolicy, SimilarityPolicy
-from repro.core.rules import (
-    ImplicationRule,
-    RuleSet,
-    SimilarityRule,
-    canonical_before,
-)
+from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats, ScanStats
-from repro.core.thresholds import (
-    as_fraction,
-    confidence_holds,
-    similarity_holds,
-)
+from repro.core.thresholds import as_fraction
 from repro.matrix.binary_matrix import BinaryMatrix
 from repro.matrix.reorder import scan_order
 from repro.observe.progress import NULL_OBSERVER
@@ -107,19 +104,16 @@ def _mine_chunk(args, observer=None) -> List[Tuple[int, int]]:
         if hasattr(observer, "span")
         else nullcontext()
     )
+    scan = second_pass_scan(
+        PruningOptions(
+            scan_engine=scan_engine, vector_block_rows=vector_block_rows
+        )
+    )
     with span:
-        if scan_engine == "vector":
-            from repro.core.vector import vector_scan
-
-            local_rules = vector_scan(
-                local, policy, order=scan_order(local), stats=scan_stats,
-                observer=observer, block_rows=vector_block_rows,
-            )
-        else:
-            local_rules = miss_counting_scan(
-                local, policy, order=scan_order(local), stats=scan_stats,
-                observer=observer,
-            )
+        local_rules = scan(
+            local, policy, order=scan_order(local), stats=scan_stats,
+            observer=observer,
+        )
     metrics = getattr(observer, "metrics", None)
     if metrics is not None:
         metrics.record_scan("partition", scan_stats)
@@ -267,9 +261,10 @@ def _local_candidates(
     return candidates
 
 
-def find_implication_rules_partitioned(
+def find_rules_partitioned(
     matrix: BinaryMatrix,
-    minconf,
+    task: str,
+    threshold,
     n_partitions: int = 4,
     n_workers: Optional[int] = None,
     stats: Optional[PipelineStats] = None,
@@ -283,13 +278,12 @@ def find_implication_rules_partitioned(
     scan_engine: str = "serial",
     vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
-    """Mine implication rules by partitioned candidate generation.
+    """Mine ``task`` rules by partitioned candidate generation.
 
     Produces exactly the rules of
-    :func:`repro.core.dmc_imp.find_implication_rules`.  Per-partition
-    candidate counts land on ``stats.partition_candidates``; with
-    ``n_workers > 1``
-    partitions are mined on supervised spawn workers
+    :func:`repro.core.pipeline.mine_matrix`.  Per-partition candidate
+    counts land on ``stats.partition_candidates``; with
+    ``n_workers > 1`` partitions are mined on supervised spawn workers
     (:class:`repro.runtime.supervisor.Supervisor`): crashed or hung
     workers are respawned, failed partitions retry ``task_retries``
     times with backoff under ``task_timeout``-second hang detection,
@@ -306,18 +300,17 @@ def find_implication_rules_partitioned(
     ``vector_block_rows`` tunes its batch size.  The rule set is
     identical either way.
     """
-    minconf = as_fraction(minconf)
+    mining_task(task)
+    threshold = as_fraction(threshold)
     if stats is None:
         stats = PipelineStats()
     if observer is None:
         observer = NULL_OBSERVER
     stats.columns_total = matrix.n_columns
 
-    with stats.timer.phase("partition-mining"), observer.phase(
-        "partition-mining"
-    ):
+    with phase(stats, observer, "partition-mining"):
         candidates = _local_candidates(
-            matrix, minconf, n_partitions, "implication", n_workers,
+            matrix, threshold, n_partitions, task, n_workers,
             stats, observer,
             task_timeout=task_timeout, task_retries=task_retries,
             ledger_dir=ledger_dir, supervise=supervise,
@@ -327,98 +320,35 @@ def find_implication_rules_partitioned(
 
     from repro.baselines.bruteforce import pairwise_intersections
 
-    with stats.timer.phase("verify-candidates"), observer.phase(
-        "verify-candidates"
-    ):
-        ones = matrix.column_ones()
+    with phase(stats, observer, "verify-candidates"):
+        ones = matrix.column_ones().tolist()
         intersections = pairwise_intersections(matrix, candidates)
         rules = RuleSet()
         for low, high in candidates:
-            if canonical_before(ones[low], low, ones[high], high):
-                antecedent, consequent = low, high
-            else:
-                antecedent, consequent = high, low
-            hits = intersections[(low, high)]
-            if confidence_holds(hits, int(ones[antecedent]), minconf):
-                rules.add(
-                    ImplicationRule(
-                        antecedent=antecedent,
-                        consequent=consequent,
-                        hits=hits,
-                        ones=int(ones[antecedent]),
-                    )
-                )
+            rule = pair_rule(
+                task, threshold, ones, low, high, intersections[(low, high)]
+            )
+            if rule is not None:
+                rules.add(rule)
     stats.rules_partial = len(rules)
     return rules
+
+
+def find_implication_rules_partitioned(
+    matrix: BinaryMatrix, minconf, *args, **kwargs
+) -> RuleSet:
+    """:func:`find_rules_partitioned` for the implication task — the
+    rules of :func:`repro.core.dmc_imp.find_implication_rules`."""
+    return find_rules_partitioned(
+        matrix, "implication", minconf, *args, **kwargs
+    )
 
 
 def find_similarity_rules_partitioned(
-    matrix: BinaryMatrix,
-    minsim,
-    n_partitions: int = 4,
-    n_workers: Optional[int] = None,
-    stats: Optional[PipelineStats] = None,
-    observer=None,
-    task_timeout: Optional[float] = None,
-    task_retries: int = 2,
-    ledger_dir: Optional[str] = None,
-    supervise: bool = True,
-    worker_faults=None,
-    storage=None,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
+    matrix: BinaryMatrix, minsim, *args, **kwargs
 ) -> RuleSet:
-    """Mine similarity rules by partitioned candidate generation.
-
-    Produces exactly the rules of
-    :func:`repro.core.dmc_sim.find_similarity_rules`.  ``stats``,
-    ``observer``, ``scan_engine`` and the supervised-runtime knobs
-    (``task_timeout`` / ``task_retries`` / ``ledger_dir`` /
-    ``supervise``) behave as in
-    :func:`find_implication_rules_partitioned`.
-    """
-    minsim = as_fraction(minsim)
-    if stats is None:
-        stats = PipelineStats()
-    if observer is None:
-        observer = NULL_OBSERVER
-    stats.columns_total = matrix.n_columns
-
-    with stats.timer.phase("partition-mining"), observer.phase(
-        "partition-mining"
-    ):
-        candidates = _local_candidates(
-            matrix, minsim, n_partitions, "similarity", n_workers,
-            stats, observer,
-            task_timeout=task_timeout, task_retries=task_retries,
-            ledger_dir=ledger_dir, supervise=supervise,
-            worker_faults=worker_faults, storage=storage,
-            scan_engine=scan_engine, vector_block_rows=vector_block_rows,
-        )
-
-    from repro.baselines.bruteforce import pairwise_intersections
-
-    with stats.timer.phase("verify-candidates"), observer.phase(
-        "verify-candidates"
-    ):
-        ones = matrix.column_ones()
-        intersections = pairwise_intersections(matrix, candidates)
-        rules = RuleSet()
-        for low, high in candidates:
-            intersection = intersections[(low, high)]
-            union = int(ones[low]) + int(ones[high]) - intersection
-            if similarity_holds(intersection, union, minsim):
-                if canonical_before(ones[low], low, ones[high], high):
-                    first, second = low, high
-                else:
-                    first, second = high, low
-                rules.add(
-                    SimilarityRule(
-                        first=first,
-                        second=second,
-                        intersection=intersection,
-                        union=union,
-                    )
-                )
-    stats.rules_partial = len(rules)
-    return rules
+    """:func:`find_rules_partitioned` for the similarity task — the
+    rules of :func:`repro.core.dmc_sim.find_similarity_rules`."""
+    return find_rules_partitioned(
+        matrix, "similarity", minsim, *args, **kwargs
+    )

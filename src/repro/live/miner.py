@@ -51,6 +51,7 @@ from repro.core.incremental import (
     RetiredPair, canonical_pair, pair_alive, pair_rule,
     readmission_required,
 )
+from repro.core.pipeline import mining_task
 from repro.core.rules import RuleSet
 from repro.core.thresholds import as_fraction, max_misses, pair_max_misses
 from repro.live.wal import AppendResult, DeltaLog, SnapshotStore
@@ -124,10 +125,7 @@ class LiveMiner:
         snapshot_every: int = 4,
         replay_budget_rows: Optional[int] = None,
     ) -> None:
-        if task not in ("implication", "similarity"):
-            raise ValueError(
-                f"task must be 'implication' or 'similarity', got {task!r}"
-            )
+        mining_task(task)
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         self.root = str(root)

@@ -11,6 +11,7 @@ Two formats are supported:
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,30 @@ from repro.matrix.binary_matrix import BinaryMatrix, Vocabulary
 _HEADER = "#dmc-matrix"
 _VOCAB_PREFIX = "#vocab "
 _COLUMNS_PREFIX = "#columns "
+
+
+@dataclass
+class TransactionsHeader:
+    """The ``#columns`` and ``#vocab`` header lines of the text format.
+
+    Shared by :func:`load_transactions` and the streaming
+    :class:`~repro.matrix.stream.FileSource`, so both read the same
+    files.
+    """
+
+    n_columns: Optional[int] = None
+    vocabulary: Optional[Vocabulary] = None
+
+    def absorb(self, line: str) -> bool:
+        """Record ``line`` (newline stripped) if it is a header line;
+        return whether it was one."""
+        if line.startswith(_COLUMNS_PREFIX):
+            self.n_columns = int(line[len(_COLUMNS_PREFIX) :])
+            return True
+        if line.startswith(_VOCAB_PREFIX):
+            self.vocabulary = Vocabulary(line[len(_VOCAB_PREFIX) :].split())
+            return True
+        return False
 
 
 def save_transactions(matrix: BinaryMatrix, path: str) -> None:
@@ -60,20 +85,15 @@ def load_transactions(path: str, validator=None) -> BinaryMatrix:
         first = handle.readline()
         if first.rstrip("\n") != _HEADER:
             raise ValueError(f"{path} is not a dmc-matrix transactions file")
-        n_columns: Optional[int] = None
-        vocabulary: Optional[Vocabulary] = None
+        header = TransactionsHeader()
         rows = []
         for line_number, line in enumerate(handle, start=2):
             line = line.rstrip("\n")
-            if line.startswith(_COLUMNS_PREFIX):
-                n_columns = int(line[len(_COLUMNS_PREFIX) :])
-                continue
-            if line.startswith(_VOCAB_PREFIX):
-                vocabulary = Vocabulary(line[len(_VOCAB_PREFIX) :].split())
+            if header.absorb(line):
                 continue
             tokens = line.split()
-            if vocabulary is not None:
-                row = [vocabulary.id_of(token) for token in tokens]
+            if header.vocabulary is not None:
+                row = [header.vocabulary.id_of(token) for token in tokens]
                 if validator is not None:
                     checked = validator.validate_row(
                         row, line_number=line_number, source=path
@@ -90,7 +110,9 @@ def load_transactions(path: str, validator=None) -> BinaryMatrix:
                     rows.append(list(checked))
             else:
                 rows.append([int(token) for token in tokens])
-        return BinaryMatrix(rows, n_columns=n_columns, vocabulary=vocabulary)
+        return BinaryMatrix(
+            rows, n_columns=header.n_columns, vocabulary=header.vocabulary
+        )
 
 
 def save_npz(matrix: BinaryMatrix, path: str) -> None:

@@ -13,8 +13,10 @@ large to hold as a :class:`BinaryMatrix`:
   :mod:`repro.matrix.io` read lazily;
 - :class:`MatrixSource` — an in-memory matrix behind the same interface;
 - :class:`BucketSpill` — the first-scan bucket writer (temp files);
-- :func:`stream_implication_rules` / :func:`stream_similarity_rules` —
-  the full two-pass pipelines over a source.
+- :func:`stream_rules` (and its task-named wrappers
+  :func:`stream_implication_rules` / :func:`stream_similarity_rules`) —
+  pass 1 over a source, then the shared passes of
+  :mod:`repro.core.pipeline` over the spill.
 
 The streamed pipelines produce exactly the rules of their in-memory
 counterparts; the tests assert it.
@@ -28,8 +30,9 @@ Resilience (see :mod:`repro.runtime`):
 - attach a :class:`repro.runtime.validation.RowValidator` to a
   :class:`FileSource` / :class:`IterableSource` to survive malformed
   rows under a ``strict`` / ``skip`` / ``clamp`` policy;
-- pass ``guard=`` (a :class:`repro.runtime.guards.MemoryGuard`) to cap
-  the counter array's memory;
+- pass ``options=PruningOptions(memory_guard=...)`` (a
+  :class:`repro.runtime.guards.MemoryGuard`) to cap the counter
+  array's memory;
 - spill-bucket reads retry transient I/O errors with backoff, and the
   whole pipeline is instrumented with fault-injection sites
   (:mod:`repro.runtime.faults`);
@@ -55,21 +58,23 @@ import tempfile
 import warnings
 from typing import Iterable, Iterator, List, Optional, Set, TextIO, Tuple
 
-from repro.core.miss_counting import BitmapConfig
-from repro.core.policies import (
-    HundredPercentPolicy,
-    IdentityPolicy,
-    ImplicationPolicy,
-    PairPolicy,
-    SimilarityPolicy,
+from repro.core.miss_counting import (
+    miss_counting_scan_rows,
+    zero_miss_scan_rows,
 )
+from repro.core.pipeline import (
+    PruningOptions,
+    mine_matrix,
+    mining_task,
+    phase,
+    run_passes,
+)
+from repro.core.policies import PairPolicy
 from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats, ScanStats
-from repro.core.thresholds import (
-    as_fraction,
-    confidence_removal_cutoff,
-    similarity_removal_cutoff,
-)
+from repro.core.thresholds import as_fraction
+from repro.matrix.binary_matrix import BinaryMatrix, Vocabulary
+from repro.matrix.io import TransactionsHeader
 from repro.matrix.reorder import bucket_index
 from repro.observe.progress import NULL_OBSERVER
 from repro.runtime import faults
@@ -180,17 +185,21 @@ class IterableSource(TransactionSource):
 
 
 class FileSource(TransactionSource):
-    """Lazily stream a transactions text file (numeric ids only).
+    """Lazily stream a transactions text file.
 
-    The file may carry the :mod:`repro.matrix.io` header lines; label
-    vocabularies are not supported in streaming mode (resolve labels up
-    front instead).  The leading header block is parsed eagerly at
-    construction time, so a declared ``#columns`` count is available to
-    pre-size the pass-1 counts array before the first iteration.
+    The file may carry the :mod:`repro.matrix.io` header lines.  The
+    leading header block is parsed eagerly at construction time (by
+    the same :class:`~repro.matrix.io.TransactionsHeader` that
+    :func:`~repro.matrix.io.load_transactions` uses), so a declared
+    ``#columns`` count is available to pre-size the pass-1 counts
+    array before the first iteration, and a ``#vocab`` header turns
+    every row's labels into column ids (exposed as
+    :attr:`vocabulary`).
 
     An optional :class:`RowValidator` decides what happens to malformed
     lines (diagnostics carry the 1-based line number and the path);
-    without one, any garbage token raises a plain ``ValueError``.
+    without one, any garbage token raises a plain ``ValueError``.  For
+    labelled files the validator applies after label resolution.
     """
 
     def __init__(
@@ -198,26 +207,22 @@ class FileSource(TransactionSource):
     ) -> None:
         self.path = path
         self.validator = validator
-        self._columns: Optional[int] = None
-        self._read_header()
-
-    def _read_header(self) -> None:
-        """Parse the leading ``#``-comment block for ``#columns``."""
+        header = TransactionsHeader()
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
                 if not line.startswith("#"):
                     break
-                if line.startswith("#columns "):
-                    self._columns = int(line[len("#columns "):])
-                    break
+                header.absorb(line.rstrip("\n"))
+        self._columns = header.n_columns
+        #: The ``#vocab`` header's labels, or None for a numeric file.
+        self.vocabulary: Optional[Vocabulary] = header.vocabulary
 
     def iter_rows(self) -> Iterator[Tuple[int, ...]]:
+        vocabulary = self.vocabulary
+        decode = int if vocabulary is None else vocabulary.id_of
         with open(self.path, "r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
-                if line.startswith("#columns "):
-                    self._columns = int(line[len("#columns "):])
-                    continue
                 if line.startswith("#"):
                     continue
                 if not line:
@@ -225,11 +230,17 @@ class FileSource(TransactionSource):
                     continue
                 tokens = line.split()
                 if self.validator is None:
-                    yield tuple(sorted(set(int(t) for t in tokens)))
+                    yield tuple(sorted(set(decode(t) for t in tokens)))
                     continue
-                row = self.validator.validate_tokens(
-                    tokens, line_number=line_number, source=self.path
-                )
+                if vocabulary is None:
+                    row = self.validator.validate_tokens(
+                        tokens, line_number=line_number, source=self.path
+                    )
+                else:
+                    row = self.validator.validate_row(
+                        [decode(t) for t in tokens],
+                        line_number=line_number, source=self.path,
+                    )
                 if row is not None:
                     yield row
 
@@ -484,66 +495,74 @@ def _first_scan(
     return counts
 
 
-def _scan_spill(
-    spill: BucketSpill,
-    policy: PairPolicy,
-    rules: RuleSet,
-    stats: ScanStats,
-    bitmap: Optional[BitmapConfig],
-    keep: Optional[set] = None,
-    zero_miss: bool = False,
-    guard=None,
-    observer=None,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
-) -> None:
-    """Pass 2: stream the spilled rows through the scan engine.
+class _SpillRows:
+    """The row source over a pass-1 spill (see :mod:`repro.core.pipeline`).
 
-    Rows flow straight from the bucket files into the engine — nothing
-    is materialized except the counter array (and, after a bitmap
-    switch, the remaining tail rows, exactly as in Algorithm 4.1) plus,
-    under ``scan_engine="vector"``, one block of rows at a time.  The
-    zero-miss pass always runs serial regardless of ``scan_engine``.
+    Every scan replays the bucket files sparsest-first and streams the
+    rows straight into the scan engine — nothing is materialized except
+    the counter array (and, after a bitmap switch, the remaining tail
+    rows, exactly as in Algorithm 4.1) plus, under
+    ``scan_engine="vector"``, one block of rows at a time.  Column
+    removal keeps the ids and filters each replayed row instead.
     """
-    from repro.core.miss_counting import (
-        miss_counting_scan_rows,
-        zero_miss_scan_rows,
-    )
 
-    if observer is None:
-        observer = NULL_OBSERVER
+    def __init__(
+        self, spill: BucketSpill, options: PruningOptions, observer
+    ) -> None:
+        self.spill = spill
+        self.options = options
+        self.observer = observer
+        self.keep: Optional[Set[int]] = None
 
-    def replay() -> Iterator[Tuple[int, Tuple[int, ...]]]:
-        for row_id, row in enumerate(spill.read_sparsest_first()):
+    def restrict(self, keep, ones: List[int]) -> List[int]:
+        """Filter later replays to ``keep``; return the new ``ones``."""
+        self.keep = set(keep)
+        return [count if c in self.keep else 0 for c, count in enumerate(ones)]
+
+    def _replay(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        keep = self.keep
+        for row_id, row in enumerate(self.spill.read_sparsest_first()):
             faults.trip("pass2.row")
             if keep is not None:
                 row = tuple(c for c in row if c in keep)
             yield row_id, row
 
-    retries_before = spill.io_retries
-    spill.observer = observer
-    extra = {}
-    if zero_miss:
-        scan = zero_miss_scan_rows
-    elif scan_engine == "vector":
-        from repro.core.vector import vector_scan_rows
+    def scan(
+        self,
+        policy: PairPolicy,
+        stats: ScanStats,
+        rules: RuleSet,
+        zero_miss: bool = False,
+    ) -> None:
+        """One replay of the spill under ``policy``, appending to ``rules``.
 
-        scan = vector_scan_rows
-        extra["block_rows"] = vector_block_rows
-    else:
-        scan = miss_counting_scan_rows
-    scan(
-        replay(),
-        spill.rows_spilled,
-        policy,
-        stats=stats,
-        bitmap=bitmap,
-        rules=rules,
-        guard=guard,
-        observer=observer,
-        **extra,
-    )
-    stats.io_retries += spill.io_retries - retries_before
+        The zero-miss pass always runs serial, whatever the options'
+        ``scan_engine``.
+        """
+        extra = {}
+        if zero_miss:
+            scan = zero_miss_scan_rows
+        elif self.options.scan_engine == "vector":
+            from repro.core.vector import vector_scan_rows
+
+            scan = vector_scan_rows
+            extra["block_rows"] = self.options.vector_block_rows
+        else:
+            scan = miss_counting_scan_rows
+        retries_before = self.spill.io_retries
+        self.spill.observer = self.observer
+        scan(
+            self._replay(),
+            self.spill.rows_spilled,
+            policy,
+            stats=stats,
+            bitmap=self.options.bitmap,
+            rules=rules,
+            guard=self.options.memory_guard,
+            observer=self.observer,
+            **extra,
+        )
+        stats.io_retries += self.spill.io_retries - retries_before
 
 
 def _record_validation(
@@ -572,89 +591,86 @@ def _note_degradation(stats, observer, path: str, error: BaseException) -> None:
         observer.on_degradation(path)
 
 
+def _checkpoint_off(stats, observer, error: BaseException) -> None:
+    """Degrade to mining without checkpoints, with a warning."""
+    _note_degradation(stats, observer, "checkpoint-off", error)
+    warnings.warn(
+        f"checkpointing disabled: {error}", RuntimeWarning, stacklevel=3
+    )
+
+
 def _in_memory_fallback(
     source: TransactionSource,
+    task: str,
     threshold,
-    kind: str,
-    bitmap: Optional[BitmapConfig],
-    guard,
+    options: PruningOptions,
     stats: PipelineStats,
     observer,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """Redo a mine entirely in memory (the spill degradation target).
 
     Materializes the source as a :class:`BinaryMatrix` and runs the
-    standard in-memory engine — the exact same rules, no disk beyond
-    the source itself.
+    standard in-memory engine with the caller's ``options`` — the exact
+    same rules, no disk beyond the source itself.
     """
-    from dataclasses import replace as dc_replace
-
-    from repro.core.dmc_imp import PruningOptions, find_implication_rules
-    from repro.core.dmc_sim import find_similarity_rules
-    from repro.matrix.binary_matrix import BinaryMatrix
-
     matrix = getattr(source, "_matrix", None)
     if matrix is None:
         matrix = BinaryMatrix(
             source.iter_rows(), n_columns=source.n_columns()
         )
-    options = dc_replace(
-        PruningOptions(), bitmap=bitmap, memory_guard=guard,
-        scan_engine=scan_engine, vector_block_rows=vector_block_rows,
-    )
     with observer.span("in-memory-fallback"):
-        if kind == "implication":
-            return find_implication_rules(
-                matrix, threshold, options=options,
-                stats=stats, observer=observer,
-            )
-        return find_similarity_rules(
-            matrix, threshold, options=options,
-            stats=stats, observer=observer,
-        )
+        return mine_matrix(matrix, task, threshold, options, stats, observer)
 
 
-def _stream_rules(
+def stream_rules(
     source: TransactionSource,
+    task: str,
     threshold,
-    kind: str,
-    bitmap: Optional[BitmapConfig],
-    spill_dir: Optional[str],
-    checkpoint_dir: Optional[str],
-    guard,
-    stats: Optional[PipelineStats],
+    options: Optional[PruningOptions] = None,
+    spill_dir: Optional[str] = None,
+    checkpoint_dir: Optional[str] = None,
+    stats: Optional[PipelineStats] = None,
     observer=None,
     storage=None,
     spill_degrade: bool = True,
     preflight: bool = False,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
-    """The shared two-pass pipeline behind both stream entry points.
+    """Two-pass DMC over a streaming source, for either ``task``.
 
-    Runs under :func:`repro.runtime.supervisor.graceful_interrupts`:
-    SIGTERM unwinds like Ctrl-C, so the spill buckets close and the
-    pass-1 checkpoint (written *before* pass 2 starts) survives for
-    the next run to resume from.
+    Pass 1 counts column frequencies and spills rows to density-bucket
+    files; pass 2 replays the buckets sparsest-first through the
+    passes of :func:`repro.core.pipeline.run_passes`.  Equivalent to
+    :func:`repro.core.pipeline.mine_matrix` on the same rows and
+    ``options`` (a :class:`~repro.core.dmc_imp.PruningOptions`), whose
+    toggles it honours — except ``row_reordering``: the bucket spill
+    *is* the Section 4.1 reordering, so pass 2 always reads sparsest
+    first.
 
-    A terminal storage fault while spilling (disk full / read-only)
-    abandons the on-disk attempt and — unless ``spill_degrade=False`` —
-    redoes the run on the in-memory engine; the stats are reset so they
-    describe the run that actually produced the rules, with the
-    degradation recorded in ``stats.degradations``.
+    ``stats`` collects the same :class:`PipelineStats` the in-memory
+    pipeline fills, plus validation/retry counters; ``observer`` (any
+    :class:`repro.observe.ProgressObserver`) additionally sees bucket
+    replays, checkpoint save/load spans and I/O retries.
+    ``checkpoint_dir`` (resume at pass 2 after a crash), ``storage``,
+    ``spill_degrade`` and ``preflight`` are the resilience knobs of the
+    module docstring.  A spill degraded to memory keeps ``options``,
+    and the stats are reset to describe the run that produced the
+    rules, with the degradation in ``stats.degradations``.  SIGTERM
+    unwinds like Ctrl-C (:func:`repro.runtime.supervisor.
+    graceful_interrupts`), so the spill closes and a pass-1 checkpoint
+    survives for the next run.
     """
+    mining_task(task)
     threshold = as_fraction(threshold)
+    if options is None:
+        options = PruningOptions()
     if stats is None:
         stats = PipelineStats()
     if observer is None:
         observer = NULL_OBSERVER
     try:
         return _stream_rules_on_disk(
-            source, threshold, kind, bitmap, spill_dir, checkpoint_dir,
-            guard, stats, observer, storage, preflight,
-            scan_engine, vector_block_rows,
+            source, task, threshold, options, spill_dir, checkpoint_dir,
+            stats, observer, storage, preflight,
         )
     except OSError as error:
         if not terminal_io_error(error):
@@ -672,29 +688,24 @@ def _stream_rules(
             stacklevel=2,
         )
         return _in_memory_fallback(
-            source, threshold, kind, bitmap, guard, stats, observer,
-            scan_engine=scan_engine, vector_block_rows=vector_block_rows,
+            source, task, threshold, options, stats, observer
         )
 
 
 def _stream_rules_on_disk(
     source: TransactionSource,
+    task: str,
     threshold,
-    kind: str,
-    bitmap: Optional[BitmapConfig],
+    options: PruningOptions,
     spill_dir: Optional[str],
     checkpoint_dir: Optional[str],
-    guard,
     stats: PipelineStats,
     observer,
     storage,
     preflight: bool,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
 ) -> RuleSet:
     """One on-disk two-pass attempt (checkpointing degrades to off in
-    place; terminal spill faults propagate to :func:`_stream_rules`)."""
-    rules = RuleSet()
+    place; terminal spill faults propagate to :func:`stream_rules`)."""
     validator = getattr(source, "validator", None)
     skipped_before = validator.rows_skipped if validator else 0
     clamped_before = validator.rows_clamped if validator else 0
@@ -705,7 +716,7 @@ def _stream_rules_on_disk(
     fingerprint = params = None
     if checkpoint_dir is not None:
         fingerprint = source_fingerprint(source)
-        params = {"kind": kind, "threshold": str(threshold)}
+        params = {"kind": task, "threshold": str(threshold)}
         try:
             store = CheckpointStore(
                 checkpoint_dir, observer=observer, storage=storage
@@ -727,12 +738,7 @@ def _stream_rules_on_disk(
                 raise
             # The checkpoint directory is unusable (full/read-only);
             # mine without checkpointing rather than fail the run.
-            _note_degradation(stats, observer, "checkpoint-off", error)
-            warnings.warn(
-                f"checkpointing disabled: {error}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            _checkpoint_off(stats, observer, error)
             store = None
             spill = None
             ones = None
@@ -762,18 +768,11 @@ def _stream_rules_on_disk(
                         # The checkpoint directory cannot take the
                         # buckets; spill somewhere temporary instead
                         # and mine without resume protection.
-                        _note_degradation(
-                            stats, observer, "checkpoint-off", error
-                        )
-                        warnings.warn(
-                            f"checkpointing disabled: {error}",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
+                        _checkpoint_off(stats, observer, error)
                         store = None
                 if spill is None:
                     spill = BucketSpill(directory=spill_dir, storage=storage)
-                with stats.timer.phase("pre-scan"), observer.phase("pre-scan"):
+                with phase(stats, observer, "pre-scan"):
                     ones = _first_scan(source, spill)
                 _record_validation(source, stats, skipped_before, clamped_before)
                 if store is not None:
@@ -793,71 +792,13 @@ def _stream_rules_on_disk(
                         # The buckets are written and readable — only
                         # their durable checkpoint failed.  Finish the
                         # mine without resume protection.
-                        _note_degradation(
-                            stats, observer, "checkpoint-off", error
-                        )
-                        warnings.warn(
-                            f"checkpointing disabled: {error}",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
+                        _checkpoint_off(stats, observer, error)
                         store = None
                         spill._delete_on_close = True
-            stats.columns_total = len(ones)
-
-            if kind == "implication":
-                hundred_policy: PairPolicy = HundredPercentPolicy(ones)
-            else:
-                hundred_policy = IdentityPolicy(ones)
-
-            with stats.timer.phase("100%-rules"), observer.phase("100%-rules"):
-                _scan_spill(
-                    spill,
-                    hundred_policy,
-                    rules,
-                    stats.hundred_percent_scan,
-                    bitmap,
-                    zero_miss=True,
-                    guard=guard,
-                    observer=observer,
-                )
-            stats.rules_hundred_percent = len(rules)
-
-            if threshold != 1:
-                with stats.timer.phase("<100%-rules"), observer.phase(
-                    "<100%-rules"
-                ):
-                    if kind == "implication":
-                        cutoff = confidence_removal_cutoff(threshold)
-                    else:
-                        cutoff = similarity_removal_cutoff(threshold)
-                    keep: Set[int] = {
-                        c for c, count in enumerate(ones) if count > cutoff
-                    }
-                    stats.columns_removed = len(ones) - len(keep)
-                    restricted = [
-                        count if c in keep else 0
-                        for c, count in enumerate(ones)
-                    ]
-                    if kind == "implication":
-                        partial_policy: PairPolicy = ImplicationPolicy(
-                            restricted, threshold
-                        )
-                    else:
-                        partial_policy = SimilarityPolicy(restricted, threshold)
-                    _scan_spill(
-                        spill,
-                        partial_policy,
-                        rules,
-                        stats.partial_scan,
-                        bitmap,
-                        keep=keep,
-                        guard=guard,
-                        observer=observer,
-                        scan_engine=scan_engine,
-                        vector_block_rows=vector_block_rows,
-                    )
-                stats.rules_partial = len(rules) - stats.rules_hundred_percent
+            rules = run_passes(
+                _SpillRows(spill, options, observer), ones, task, threshold,
+                options, stats, observer,
+            )
     finally:
         if spill is not None:
             spill.close()
@@ -880,84 +821,30 @@ def _stream_rules_on_disk(
 def stream_implication_rules(
     source: TransactionSource,
     minconf,
-    bitmap: Optional[BitmapConfig] = None,
-    spill_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    guard=None,
-    stats: Optional[PipelineStats] = None,
-    observer=None,
-    storage=None,
-    spill_degrade: bool = True,
-    preflight: bool = False,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
+    options: Optional[PruningOptions] = None,
+    **kwargs,
 ) -> RuleSet:
     """Two-pass DMC-imp over a streaming source.
 
-    Pass 1 counts column frequencies and spills rows to density-bucket
-    files; pass 2 replays the buckets sparsest-first through the
-    100%-rule and <100% scans.  Equivalent to
-    :func:`repro.core.dmc_imp.find_implication_rules`.
-
-    With ``checkpoint_dir`` the pass-1 state is persisted there (see
-    :mod:`repro.runtime.checkpoint`): a crash after pass 1 resumes at
-    pass 2 on the next call with the same directory, source and
-    threshold, and the resumed run produces the identical rule set.
-    ``guard`` caps the counter array
-    (:class:`repro.runtime.guards.MemoryGuard`); ``stats`` collects the
-    same :class:`PipelineStats` the in-memory pipeline fills, plus
-    validation/retry counters.  ``observer`` (any
-    :class:`repro.observe.ProgressObserver`) additionally sees bucket
-    replays, checkpoint save/load spans and I/O retries.
-
-    ``storage`` substitutes the durable-I/O backend
-    (:class:`repro.runtime.storage.Storage`; local filesystem by
-    default).  On a terminal storage fault (disk full / read-only) the
-    run degrades instead of aborting: checkpointing switches off with a
-    warning, and a failed spill redoes the run on the in-memory engine
-    — identical rules either way (``spill_degrade=False`` re-raises the
-    :class:`~repro.runtime.storage.StorageFull` instead).
-    ``preflight=True`` checks free disk space against the estimated
-    spill footprint before pass 1 starts.
-
-    ``scan_engine="vector"`` replays pass 2's <100% scan through the
-    blocked numpy engine (:mod:`repro.core.vector`) instead of the
-    row-at-a-time loop; ``vector_block_rows`` tunes its batch size.
-    The rule set is identical either way.
+    :func:`stream_rules` for the implication task: the same rules as
+    :func:`repro.core.dmc_imp.find_implication_rules` with the same
+    ``options``.  ``options.row_reordering`` has no effect, because the
+    density-bucket spill always replays sparsest first.
     """
-    return _stream_rules(
-        source, minconf, "implication", bitmap, spill_dir,
-        checkpoint_dir, guard, stats, observer,
-        storage=storage, spill_degrade=spill_degrade, preflight=preflight,
-        scan_engine=scan_engine, vector_block_rows=vector_block_rows,
-    )
+    return stream_rules(source, "implication", minconf, options, **kwargs)
 
 
 def stream_similarity_rules(
     source: TransactionSource,
     minsim,
-    bitmap: Optional[BitmapConfig] = None,
-    spill_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    guard=None,
-    stats: Optional[PipelineStats] = None,
-    observer=None,
-    storage=None,
-    spill_degrade: bool = True,
-    preflight: bool = False,
-    scan_engine: str = "serial",
-    vector_block_rows: Optional[int] = None,
+    options: Optional[PruningOptions] = None,
+    **kwargs,
 ) -> RuleSet:
     """Two-pass DMC-sim over a streaming source.
 
-    Equivalent to :func:`repro.core.dmc_sim.find_similarity_rules`.
-    Checkpointing, validation, guarding, stats, observer, storage,
-    ``scan_engine`` and the degradation ladder behave exactly as in
-    :func:`stream_implication_rules`.
+    :func:`stream_rules` for the similarity task: the same rules as
+    :func:`repro.core.dmc_sim.find_similarity_rules` with the same
+    ``options``.  ``options.row_reordering`` has no effect, because the
+    density-bucket spill always replays sparsest first.
     """
-    return _stream_rules(
-        source, minsim, "similarity", bitmap, spill_dir,
-        checkpoint_dir, guard, stats, observer,
-        storage=storage, spill_degrade=spill_degrade, preflight=preflight,
-        scan_engine=scan_engine, vector_block_rows=vector_block_rows,
-    )
+    return stream_rules(source, "similarity", minsim, options, **kwargs)

@@ -274,7 +274,7 @@ def mine_with_memory_budget(
     records the attempt as a ``dmc-attempt`` span alongside the
     fallback's phases.  ``task_timeout`` / ``task_retries`` /
     ``ledger_dir`` tune the supervised runtime of the fallback (see
-    :func:`repro.core.partitioned.find_implication_rules_partitioned`).
+    :func:`repro.core.partitioned.find_rules_partitioned`).
     ``options`` (a :class:`~repro.core.dmc_imp.PruningOptions`) seeds
     the DMC attempt — its ``memory_guard`` is replaced by this budget's
     guard, and its ``scan_engine`` / ``vector_block_rows`` carry over
@@ -285,36 +285,21 @@ def mine_with_memory_budget(
     """
     from dataclasses import replace
 
-    from repro.core.dmc_imp import PruningOptions, find_implication_rules
-    from repro.core.dmc_sim import find_similarity_rules
-    from repro.core.partitioned import (
-        find_implication_rules_partitioned,
-        find_similarity_rules_partitioned,
-    )
-    from repro.core.stats import PipelineStats
+    from repro.core.partitioned import find_rules_partitioned
+    from repro.core.pipeline import PruningOptions, mine_matrix
     from repro.observe.progress import NULL_OBSERVER
 
-    if kind not in ("implication", "similarity"):
-        raise ValueError(f"unknown rule kind {kind!r}")
     if observer is None:
         observer = NULL_OBSERVER
     guard = MemoryGuard(budget_bytes, action="raise")
     if options is None:
         options = PruningOptions()
     options = replace(options, memory_guard=guard)
-    attempt_stats = stats if stats is not None else PipelineStats()
     try:
         with observer.span("dmc-attempt", budget_bytes=budget_bytes):
-            if kind == "implication":
-                rules = find_implication_rules(
-                    matrix, threshold, options=options,
-                    stats=attempt_stats, observer=observer,
-                )
-            else:
-                rules = find_similarity_rules(
-                    matrix, threshold, options=options,
-                    stats=attempt_stats, observer=observer,
-                )
+            rules = mine_matrix(
+                matrix, kind, threshold, options, stats, observer
+            )
         return rules, "dmc"
     except MemoryBudgetExceeded:
         pass
@@ -326,13 +311,8 @@ def mine_with_memory_budget(
         "partitioned-fallback", budget_exceeded=True,
         tripped_at=guard.tripped_at,
     ):
-        partitioner = (
-            find_implication_rules_partitioned
-            if kind == "implication"
-            else find_similarity_rules_partitioned
-        )
-        rules = partitioner(
-            matrix, threshold, n_partitions=n_partitions,
+        rules = find_rules_partitioned(
+            matrix, kind, threshold, n_partitions=n_partitions,
             n_workers=n_workers, task_timeout=task_timeout,
             task_retries=task_retries, ledger_dir=ledger_dir,
             storage=storage, stats=stats, observer=observer,

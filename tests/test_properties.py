@@ -5,6 +5,7 @@ brute-force oracle for *every* matrix, threshold, and optimization
 combination — no false positives, no false negatives.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,12 @@ ENGINE_CASES = {
     "auto-budget": (dict(engine="auto"), 40),
 }
 
+#: The cases whose carrier honours every :class:`PruningOptions`
+#: toggle; each example draws a fresh set of toggles for them.
+OPTION_CASES = frozenset(
+    ("dmc", "vector", "stream", "stream+vector", "auto-budget")
+)
+
 ORACLES = {
     "implication": implication_rules_bruteforce,
     "similarity": similarity_rules_bruteforce,
@@ -237,6 +244,22 @@ def boundary_thresholds(matrix):
     )
 
 
+@st.composite
+def pruning_toggles(draw):
+    """Every semantics-free :class:`PruningOptions` toggle, including a
+    DMC-bitmap switch forced at an arbitrary row."""
+    switch_rows = draw(st.one_of(st.none(), st.integers(1, 12)))
+    return dict(
+        hundred_percent_pass=draw(st.booleans()),
+        density_pruning=draw(st.booleans()),
+        max_hits_pruning=draw(st.booleans()),
+        row_reordering=draw(st.booleans()),
+        bitmap=None
+        if switch_rows is None
+        else BitmapConfig(switch_rows=switch_rows, memory_budget_bytes=0),
+    )
+
+
 @pytest.mark.parametrize("task", sorted(ORACLES))
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
 def test_engine_conformance(case, task):
@@ -260,7 +283,13 @@ def test_engine_conformance(case, task):
             extra["memory_budget"] = data.draw(
                 st.sampled_from((1, 64, 1 << 20)), label="memory_budget"
             )
-        result = mine(matrix, task=task, threshold=threshold, **knobs, **extra)
+        if case in OPTION_CASES:
+            extra["options"] = replace(
+                knobs.get("options", PruningOptions()),
+                **data.draw(pruning_toggles(), label="options"),
+            )
+        config = {**knobs, **extra}
+        result = mine(matrix, task=task, threshold=threshold, **config)
         want = ORACLES[task](matrix, threshold)
         assert result.rules == want
 

@@ -508,7 +508,10 @@ def test_memory_guard_on_streaming_pipeline(demo_path):
     baseline = stream_implication_rules(FileSource(demo_path), 0.8)
     guard = MemoryGuard(budget_bytes=1, action="bitmap")
     assert (
-        stream_implication_rules(FileSource(demo_path), 0.8, guard=guard)
+        stream_implication_rules(
+            FileSource(demo_path), 0.8,
+            options=PruningOptions(memory_guard=guard),
+        )
         == baseline
     )
     assert guard.high_water_bytes > 0

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.core.dmc_imp import find_implication_rules
+import repro
+from repro.core.dmc_imp import PruningOptions, find_implication_rules
 from repro.core.dmc_sim import find_similarity_rules
 from repro.core.miss_counting import BitmapConfig
 from repro.matrix.binary_matrix import BinaryMatrix
@@ -113,7 +114,7 @@ class TestStreamingEquivalence:
         matrix = random_binary_matrix(9)
         config = BitmapConfig(switch_rows=5, memory_budget_bytes=0)
         got = stream_implication_rules(
-            MatrixSource(matrix), 0.7, bitmap=config
+            MatrixSource(matrix), 0.7, options=PruningOptions(bitmap=config)
         ).pairs()
         want = find_implication_rules(matrix, 0.7).pairs()
         assert got == want
@@ -144,14 +145,28 @@ class TestStreamEdgeCases:
         rules = zero_miss_scan_rows(iter(rows), 2, policy)
         assert rules.pairs() == {(0, 1)}
 
-    def test_file_source_rejects_labelled_files(self, tmp_path):
-        from repro.matrix.binary_matrix import BinaryMatrix
-
-        matrix = BinaryMatrix.from_transactions([["a", "b"]])
+    def test_file_source_resolves_labels(self, tmp_path):
+        matrix = BinaryMatrix.from_transactions([["a", "b"], ["c", "a"]])
         path = str(tmp_path / "labelled.txt")
         save_transactions(matrix, path)
-        with pytest.raises(ValueError):
-            list(FileSource(path).iter_rows())
+        source = FileSource(path)
+        assert list(source.iter_rows()) == [(0, 1), (0, 2)]
+        assert source.vocabulary == matrix.vocabulary
+
+    def test_mine_reads_labelled_file_round_trip(self, tmp_path):
+        matrix = BinaryMatrix.from_transactions(
+            [["a", "b"], ["a", "b", "c"], ["b", "c"], ["a"]]
+        )
+        path = str(tmp_path / "labelled.txt")
+        save_transactions(matrix, path)
+        result = repro.mine(path, minconf=0.5)
+        assert result.engine == "stream"
+        assert result.rules == find_implication_rules(matrix, 0.5)
+        assert result.vocabulary == matrix.vocabulary
+        assert {rule.format(result.vocabulary) for rule in result.rules} == {
+            rule.format(matrix.vocabulary)
+            for rule in repro.mine(matrix, minconf=0.5).rules
+        }
 
     def test_spill_close_is_idempotent(self, tmp_path):
         spill = BucketSpill(directory=str(tmp_path))
@@ -174,3 +189,88 @@ class TestStreamEdgeCases:
         source = IterableSource([[0], [7]], columns=2)
         rules = stream_implication_rules(source, 1)
         assert len(rules) == 0  # no co-occurrence, but no crash either
+
+
+WLOG_TASKS = (("implication", "4/5"), ("similarity", "1/2"))
+
+
+@pytest.fixture(scope="module")
+def wlog():
+    from repro.datasets.registry import DATASETS
+
+    return DATASETS["Wlog"].build(0.3, 0)
+
+
+class TestStreamSharesThePipeline:
+    """The streaming carrier runs the same passes as in-memory DMC."""
+
+    @pytest.mark.parametrize("task,threshold", WLOG_TASKS)
+    def test_stream_honours_pruning_options(self, wlog, task, threshold):
+        options = PruningOptions(
+            hundred_percent_pass=False, density_pruning=False
+        )
+        runs = {
+            engine: repro.mine(
+                wlog, task=task, threshold=threshold, engine=engine,
+                options=options,
+            )
+            for engine in ("dmc", "stream")
+        }
+        dmc, stream = runs["dmc"].stats, runs["stream"].stats
+        assert list(stream.timer.seconds) == ["pre-scan", "combined"]
+        assert list(dmc.timer.seconds) == ["pre-scan", "combined"]
+        for field in (
+            "candidates_added", "candidates_deleted_budget",
+            "candidates_deleted_dynamic", "candidates_rejected",
+            "rules_emitted",
+        ):
+            assert getattr(stream.partial_scan, field) == getattr(
+                dmc.partial_scan, field
+            ), field
+        assert runs["stream"].rules == runs["dmc"].rules
+
+    @pytest.mark.parametrize("task,threshold", WLOG_TASKS)
+    def test_stats_parity_with_in_memory(self, wlog, task, threshold):
+        dmc = repro.mine(wlog, task=task, threshold=threshold, engine="dmc")
+        stream = repro.mine(
+            wlog, task=task, threshold=threshold, engine="stream"
+        )
+        assert list(stream.stats.timer.seconds) == list(
+            dmc.stats.timer.seconds
+        ) == ["pre-scan", "100%-rules", "<100%-rules"]
+        for field in (
+            "columns_total", "columns_removed",
+            "rules_hundred_percent", "rules_partial",
+        ):
+            assert getattr(stream.stats, field) == getattr(
+                dmc.stats, field
+            ), field
+        assert stream.stats.rules_partial > 0
+        assert stream.rules == dmc.rules
+
+    def test_spill_fallback_keeps_options(self, tmp_path):
+        from repro.runtime.storage import FaultyStorage, StorageFault
+
+        matrix = random_binary_matrix(3)
+        path = str(tmp_path / "data.txt")
+        save_transactions(matrix, path)
+        storage = FaultyStorage(
+            faults=(StorageFault(op="open-write", path_contains="bucket"),)
+        )
+        with pytest.warns(RuntimeWarning):
+            result = repro.mine(
+                path, minsim=0.5, storage=storage,
+                options=PruningOptions(hundred_percent_pass=False),
+            )
+        assert result.stats.degradations == ["spill-to-memory"]
+        assert list(result.stats.timer.seconds) == ["pre-scan", "combined"]
+        assert result.rules == find_similarity_rules(matrix, 0.5)
+
+    @pytest.mark.parametrize(
+        "knob", ("bitmap", "guard", "scan_engine", "vector_block_rows")
+    )
+    def test_loose_engine_knobs_are_gone(self, knob):
+        with pytest.raises(TypeError):
+            stream_implication_rules(
+                IterableSource([[0, 1]]), 0.5, **{knob: None}
+            )
