@@ -33,7 +33,12 @@ from typing import Any, Dict, Iterator, Optional
 
 from repro.core.miss_counting import BitmapConfig
 from repro.core.partitioned import find_rules_partitioned
-from repro.core.pipeline import PruningOptions, mine_matrix, mining_task
+from repro.core.pipeline import (
+    PruningOptions,
+    mine_matrix,
+    mining_task,
+    vector_exact,
+)
 from repro.core.rules import RuleSet
 from repro.core.stats import PipelineStats
 from repro.matrix.binary_matrix import BinaryMatrix, Vocabulary
@@ -69,8 +74,10 @@ class MiningConfig:
 
         - ``"auto"`` (default) — pick from the data and the other
           knobs: streaming sources stream, ``memory_budget`` guards,
-          everything else runs in-memory DMC.
-        - ``"dmc"`` — the serial in-memory pipeline.
+          everything else runs the in-memory pipeline with the vector
+          scan.
+        - ``"dmc"`` — the serial in-memory pipeline (the paper's
+          row-at-a-time reference scan).
         - ``"vector"`` — the blocked numpy second-pass engine
           (:mod:`repro.core.vector`); combined with ``n_workers > 1``
           it runs inside each partition.
@@ -325,12 +332,19 @@ def resolve_engine(
     The contract, per ``engine=`` value:
 
     - ``"auto"`` — streaming data streams; ``memory_budget`` runs the
-      guarded carrier; anything else is in-memory DMC.  The scan
-      engine follows ``options.scan_engine``.
+      guarded carrier; anything else is the in-memory pipeline.  The
+      scan engine follows ``options.scan_engine``; when that is unset
+      (``None``, the default) the in-memory pipeline runs the vector
+      scan (plan ``"vector"``) and the other carriers run serial.
+      :func:`mine` drops an ``auto`` vector plan back to serial DMC,
+      with a ``"serial-scan"`` entry in ``stats.degradations``, when
+      the threshold's terms overflow the vector scan's int64
+      arithmetic.
     - ``"dmc"`` / ``"vector"`` — the in-memory pipeline with the serial
-      or vector scan; needs an in-memory matrix.  ``"vector"``
-      combined with ``n_workers > 1`` runs the vector scan inside each
-      partition (``"partitioned+vector"``).
+      or vector scan; needs an in-memory matrix.  ``"dmc"`` is the
+      serial reference.  ``"vector"`` combined with ``n_workers > 1``
+      runs the vector scan inside each partition
+      (``"partitioned+vector"``).
     - ``"stream"`` — the two-pass streaming pipeline; an in-memory
       matrix is wrapped in a :class:`~repro.matrix.stream.
       MatrixSource`.  Combine with ``options.scan_engine="vector"``
@@ -389,6 +403,9 @@ def resolve_engine(
         carrier = "guarded"
     else:
         carrier = "dmc"
+    if scan is None:
+        in_memory = engine == "auto" and carrier == "dmc"
+        scan = "vector" if in_memory else "serial"
 
     block_rows = (
         config.vector_block_rows
@@ -524,6 +541,17 @@ def mine(data, *, config: Optional[MiningConfig] = None, **kwargs):
     if plan.carrier == "stream" and source is None:
         source = MatrixSource(matrix)
     stats = PipelineStats()
+    if (
+        config.engine == "auto"
+        and plan.name == "vector"
+        and not vector_exact(matrix, config.task, config.threshold, options)
+    ):
+        # The threshold's p/q terms overflow the vector scan's int64
+        # arithmetic: run the exact serial scan instead of failing.
+        plan = EnginePlan(name="dmc", carrier="dmc", scan_engine="serial")
+        options = replace(options, scan_engine="serial",
+                          vector_block_rows=None)
+        stats.degradations.append("serial-scan")
     stats.engine = plan.name
     if plan.scan_engine == "vector":
         stats.vector_block_rows = options.vector_block_rows

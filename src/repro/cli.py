@@ -93,10 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=("auto", "dmc", "stream", "partitioned", "vector"),
             default="auto",
-            help="mining engine (default auto: picked from the other "
-                 "flags); vector runs the blocked numpy second pass — "
-                 "combine with --workers to run it inside each "
-                 "partition, or with --stream for the streaming pass 2",
+            help="mining engine (default auto: the vector scan on "
+                 "in-memory data, otherwise picked from the other "
+                 "flags); dmc is the serial reference scan; vector "
+                 "runs the blocked numpy second pass — combine with "
+                 "--workers to run it inside each partition, or with "
+                 "--stream for the streaming pass 2",
         )
         sub.add_argument(
             "--block-rows", type=int, default=None, metavar="N",
@@ -502,7 +504,7 @@ def _mine(args: argparse.Namespace) -> int:
             vocabulary = result.vocabulary
             if result.stats.degradations:
                 print(
-                    "storage degradations taken: "
+                    "degradations taken: "
                     + ", ".join(result.stats.degradations),
                     file=sys.stderr,
                 )

@@ -13,9 +13,9 @@ Two layouts implement it:
 - :class:`CandidateArray` — dict-of-dicts, one miss counter mutated at
   a time.  The row-at-a-time scans (:mod:`repro.core.miss_counting`)
   and the Algorithm 4.1 tail run on this.
-- :class:`PairStore` — struct-of-arrays: parallel numpy vectors of
-  owner ids, candidate ids, miss counts and budgets, updated and
-  compacted whole-array at a time.  The blocked vector engine
+- :class:`PairStore` — struct-of-arrays: parallel int32 vectors of
+  owner ids, candidate ids, miss counts and budgets, sorted by owner,
+  updated and compacted whole-array at a time.  The blocked vector engine
   (:mod:`repro.core.vector`) runs on this; both layouts model memory
   with the same per-entry/per-list byte charges so guard and bitmap
   switch decisions agree across engines.
@@ -147,16 +147,18 @@ class PairStore:
     One slot per live pair: ``owners[i]`` is the list-owning column
     ``c_j``, ``cands[i]`` the candidate ``c_k``, ``misses[i]`` the
     sparse-side miss count so far, and ``budgets[i]`` the pair's
-    (immutable) miss budget.  Appends and pruning-sweep compactions
-    replace the arrays wholesale, so every per-pair operation in the
-    vector engine is a single numpy expression over these columns.
+    (immutable) miss budget — all int32, kept sorted by owner, then
+    candidate, so one owner's list is one contiguous slice.  Merges and
+    pruning-sweep compactions replace the arrays wholesale, so every
+    per-pair operation in the vector engine is a single numpy
+    expression over these columns.
     """
 
     def __init__(self) -> None:
-        self.owners = np.empty(0, dtype=np.int64)
-        self.cands = np.empty(0, dtype=np.int64)
-        self.misses = np.empty(0, dtype=np.int64)
-        self.budgets = np.empty(0, dtype=np.int64)
+        self.owners = np.empty(0, dtype=np.int32)
+        self.cands = np.empty(0, dtype=np.int32)
+        self.misses = np.empty(0, dtype=np.int32)
+        self.budgets = np.empty(0, dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.owners)
@@ -168,13 +170,29 @@ class PairStore:
         misses: np.ndarray,
         budgets: np.ndarray,
     ) -> None:
-        """Admit a batch of new pairs."""
+        """Admit a batch of new pairs, sorted by (owner, candidate) and
+        disjoint from the live ones, keeping the store's order."""
         if not len(owners):
             return
-        self.owners = np.concatenate([self.owners, owners])
-        self.cands = np.concatenate([self.cands, cands])
-        self.misses = np.concatenate([self.misses, misses])
-        self.budgets = np.concatenate([self.budgets, budgets])
+        new = (owners, cands, misses, budgets)
+        if not len(self.owners):
+            self.owners, self.cands, self.misses, self.budgets = (
+                np.asarray(column, dtype=np.int32) for column in new
+            )
+            return
+        at = np.searchsorted(_pair_keys(self.owners, self.cands),
+                             _pair_keys(owners, cands))
+        at += np.arange(len(at))
+        is_new = np.zeros(len(self.owners) + len(owners), dtype=bool)
+        is_new[at] = True
+        del at
+        is_old = ~is_new
+        for name, values in zip(("owners", "cands", "misses", "budgets"),
+                                new):
+            merged = np.empty(len(is_new), dtype=np.int32)
+            merged[is_new] = values
+            merged[is_old] = getattr(self, name)
+            setattr(self, name, merged)
 
     def compact(self, keep: np.ndarray) -> None:
         """Drop every pair whose ``keep`` flag is False."""
@@ -184,10 +202,6 @@ class PairStore:
         self.cands = self.cands[keep]
         self.misses = self.misses[keep]
         self.budgets = self.budgets[keep]
-
-    def keys(self, n_columns: int) -> np.ndarray:
-        """Dense ``owner * n_columns + cand`` keys for dedup checks."""
-        return self.owners * np.int64(n_columns) + self.cands
 
     def n_lists(self) -> int:
         """Number of distinct owners — the live "lists" of Figure 2(b)."""
@@ -216,3 +230,10 @@ class PairStore:
             f"PairStore(pairs={len(self.owners)}, "
             f"bytes={self.memory_bytes()})"
         )
+
+
+def _pair_keys(owners: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """int64 keys ordering pairs by owner, then candidate."""
+    keys = owners.astype(np.int64) << 31
+    keys |= cands
+    return keys

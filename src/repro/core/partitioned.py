@@ -162,7 +162,7 @@ def _local_candidates(
     """Mine every partition (serially, supervised or in a bare pool)
     and union the locally-valid pairs."""
     engine_tail: Tuple = ()
-    if scan_engine != "serial":
+    if scan_engine == "vector":
         engine_tail = (scan_engine, vector_block_rows)
     jobs = [
         (

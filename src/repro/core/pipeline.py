@@ -82,17 +82,21 @@ class PruningOptions:
     #: :mod:`repro.core.miss_counting`; ``"vector"`` runs the blocked
     #: numpy engine of :mod:`repro.core.vector`.  Both produce the
     #: identical rule set; the zero-miss 100%-rule pass always runs
-    #: serial (its id-set layout is already near-optimal).
-    scan_engine: str = "serial"
+    #: serial (its id-set layout is already near-optimal).  ``None``
+    #: leaves the choice to :func:`repro.api.resolve_engine`, which
+    #: picks ``"vector"`` for ``engine="auto"`` on an in-memory matrix
+    #: without a ``memory_budget`` and ``"serial"`` everywhere else; a
+    #: pipeline called directly with ``None`` runs serial.
+    scan_engine: Optional[str] = None
     #: Rows per block for ``scan_engine="vector"`` (None = the engine's
     #: :data:`repro.core.vector.DEFAULT_BLOCK_ROWS`).
     vector_block_rows: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.scan_engine not in ("serial", "vector"):
+        if self.scan_engine not in (None, "serial", "vector"):
             raise ValueError(
                 f"unknown scan_engine {self.scan_engine!r}; "
-                "use 'serial' or 'vector'"
+                "use 'serial', 'vector' or None"
             )
 
 
@@ -115,6 +119,18 @@ def second_pass_scan(options: PruningOptions):
         )
 
     return scan
+
+
+def vector_exact(
+    matrix: BinaryMatrix, task: str, threshold, options: PruningOptions
+) -> bool:
+    """Whether the vector scan's int64 array twins are exact for the
+    <100% pass of mining ``matrix`` (column removal only lowers the
+    counts the check depends on)."""
+    policy = mining_task(task).partial_policy(
+        matrix.column_ones(), as_fraction(threshold), options
+    )
+    return policy.vector_ready()
 
 
 class _Implication:

@@ -5,18 +5,29 @@ miss_counting_scan` — one miss-counting pass driven by a
 :class:`~repro.core.policies.PairPolicy` — restructured from
 row-at-a-time dict updates into numpy batch operations:
 
-- rows are consumed in blocks of ``block_rows``; each block becomes a
-  dense 0/1 matrix over the columns active in it;
-- per-pair block hits come from one BLAS matmul (``D.T @ D``) on
-  narrow blocks, or from the packed-bitmap popcount kernels in
-  :mod:`repro.matrix.ops` (``pack_columns`` + ``pair_and_counts``)
-  when the block touches too many columns for a dense co-occurrence
-  matrix;
+- rows are consumed in blocks of at most ``block_rows`` rows, each
+  closed by the row that brings it to :data:`CHUNK_ENTRIES` column
+  entries;
+- per-pair block hits come from one sparse co-occurrence kernel: each
+  row is ordered canonically (the paper's list order), every
+  occurrence of a list-owning column is expanded into ``(owner,
+  candidate)`` keys over the rest of its row, and the keys are reduced
+  to hit counts — by ``bincount`` when the owners' dense key space is
+  no larger than their entries, by sort + run-length otherwise.  The
+  expansion runs owner group by owner group, each group capped by the
+  same :data:`CHUNK_ENTRIES` budget, so the kernel's scratch is bounded
+  by a constant (:data:`SCRATCH_BYTES`) whatever the block's density;
 - live pairs sit in a :class:`~repro.core.candidates.PairStore`
-  (parallel owner/candidate/miss/budget arrays); every miss update,
-  budget check, dynamic prune, and finished-column emission is an
-  array expression, and a pruning sweep at each block boundary
-  compacts the arrays.
+  (parallel int32 owner/candidate/miss/budget arrays, sorted by owner
+  then candidate); a group's live pairs are one contiguous slice of the
+  store, and their block hits are a ``searchsorted`` into the group's
+  touched pairs;
+- new pairs meet the boundary sweep's budget and dynamic tests at
+  admission, with post-block counts, so pairs the sweep would delete
+  never enter the store, and pairs whose owner finishes in the block
+  are emitted without entering it;
+- a pruning sweep at each block boundary deletes, emits and compacts,
+  slice by slice.
 
 Exactness argument (why block granularity cannot change the rules):
 ``policy.make_rule`` applies the exact final validity test, so the
@@ -38,7 +49,8 @@ randomized harness.
 
 ``PipelineStats`` semantics are preserved at block granularity:
 per-row histories are extended block-wise (``ScanStats.record_block``),
-the pruning curve is sampled at every block boundary, a
+the pruning curve is sampled at every block boundary, the counter-array
+peak includes the store's size between admission and the sweep, a
 :class:`~repro.runtime.guards.MemoryGuard` is checked between blocks,
 and the Section 4.4 bitmap switch hands the surviving pairs to the
 Algorithm 4.1 tail exactly as the serial engine does.
@@ -46,7 +58,6 @@ Algorithm 4.1 tail exactly as the serial engine does.
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -59,33 +70,27 @@ from repro.core.policies import PairPolicy
 from repro.core.rules import RuleSet
 from repro.core.stats import ScanStats
 from repro.matrix.binary_matrix import BinaryMatrix
-from repro.matrix.ops import pack_columns, pair_and_counts
 from repro.observe.progress import NULL_OBSERVER
 
 #: Default rows per block.  Large enough that the per-block Python
-#: overhead vanishes against the array work; small enough that the
-#: dense block matrix stays cache-friendly.
+#: overhead vanishes against the array work.
 DEFAULT_BLOCK_ROWS = 1024
 
-#: Hard cap on the block size: float32 block matmuls are exact only
-#: while per-pair block hits stay below 2**24.
-MAX_BLOCK_ROWS = 1 << 20
+#: The one entry budget of the kernel: a block closes at the row that
+#: brings it to this many column entries, one owner group expands at
+#: most this many ``(owner, candidate)`` keys (unless a single owner's
+#: rows hold more), and one sweep slice touches at most this many pairs.
+CHUNK_ENTRIES = 1 << 14
 
-#: Blocks touching at most this many distinct columns use one dense
-#: ``D.T @ D`` co-occurrence matrix for both discovery and live-pair
-#: hit lookup; wider blocks fall back to packed-bitmap popcount
-#: kernels for live pairs and chunked matmuls for discovery.
-DENSE_PAIR_COLUMNS = 2048
-
-#: Entry budget (not bytes) for one discovery matmul chunk when the
-#: dense path is off the table.
-_DISCOVERY_CHUNK_ENTRIES = DENSE_PAIR_COLUMNS * DENSE_PAIR_COLUMNS
-
-#: With few live pairs, per-pair hits come from gathering the pair's
-#: two dense columns (cost ``pairs * block_rows`` cells); past this
-#: budget the packed popcount kernels win despite their fixed
-#: ``packbits`` cost.
-_GATHER_PAIR_CELLS = 1 << 20
+#: Traced bytes a scan may hold beyond its rules and twice its peak
+#: store arrays (a merge briefly holds the old and the new columns),
+#: for rows shorter than :data:`CHUNK_ENTRIES`: a block holds fewer than
+#: ``2 * CHUNK_ENTRIES`` entries, and so does one owner group's key
+#: set.  Alive at once are about eight int64 arrays over the block's
+#: entries and eight over the group's keys and touched pairs — 256
+#: bytes per budget entry; a sweep slice's rule emission (three lists
+#: of Python ints) stays below that.
+SCRATCH_BYTES = 256 * CHUNK_ENTRIES
 
 
 class _IterBlocks:
@@ -97,16 +102,19 @@ class _IterBlocks:
     def take(
         self, n: int
     ) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
-        block = list(itertools.islice(self._rows, n))
+        block = []
+        total = 0
+        for _, row in self._rows:
+            block.append(row)
+            total += len(row)
+            if len(block) == n or total >= CHUNK_ENTRIES:
+                break
         if not block:
             return 0, None, None
-        row_tuples = [row for _, row in block]
-        lengths = np.fromiter(
-            map(len, row_tuples), dtype=np.int64, count=len(block)
-        )
-        total = int(lengths.sum())
+        lengths = np.fromiter(map(len, block), dtype=np.int64,
+                              count=len(block))
         cols = np.fromiter(
-            itertools.chain.from_iterable(row_tuples),
+            (column for row in block for column in row),
             dtype=np.int64,
             count=total,
         )
@@ -136,11 +144,17 @@ class _FlatBlocks:
         hi = min(lo + n, self.n_rows)
         if hi == lo:
             return 0, None, None
+        # Like _IterBlocks: stop at the row that reaches CHUNK_ENTRIES.
+        offsets = self._offsets
+        full = int(np.searchsorted(
+            offsets, offsets[lo] + CHUNK_ENTRIES, side="left"
+        ))
+        hi = min(hi, max(full, lo + 1))
         self._pos = hi
         return (
             hi - lo,
             self._lengths[lo:hi],
-            self._cols[self._offsets[lo]:self._offsets[hi]],
+            self._cols[offsets[lo]:offsets[hi]],
         )
 
     def remaining_pairs(self) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -182,9 +196,9 @@ def vector_scan(
             rules=rules, guard=guard, observer=observer,
             block_rows=block_rows,
         )
-    row_pairs = [(row_id, matrix.row(row_id)) for row_id in order]
+    row_pairs = ((row_id, matrix.row(row_id)) for row_id in order)
     return vector_scan_rows(
-        row_pairs, len(row_pairs), policy, stats=stats, bitmap=bitmap,
+        row_pairs, len(order), policy, stats=stats, bitmap=bitmap,
         rules=rules, guard=guard, observer=observer, block_rows=block_rows,
     )
 
@@ -199,7 +213,6 @@ def vector_scan_rows(
     guard=None,
     observer=None,
     block_rows: Optional[int] = None,
-    dense_pair_columns: int = DENSE_PAIR_COLUMNS,
 ) -> RuleSet:
     """Streaming core of :func:`vector_scan` (see there).
 
@@ -211,8 +224,276 @@ def vector_scan_rows(
     return _scan_blocks(
         _IterBlocks(rows), n_rows, policy, stats=stats, bitmap=bitmap,
         rules=rules, guard=guard, observer=observer, block_rows=block_rows,
-        dense_pair_columns=dense_pair_columns,
     )
+
+
+def _emit(policy, owners, cands, misses, rules, stats) -> None:
+    """Validate finished pairs and add their rules to ``rules``."""
+    valid = policy.valid_mask(owners, cands, misses)
+    n_valid = int(np.count_nonzero(valid))
+    stats.candidates_rejected += len(owners) - n_valid
+    if not n_valid:
+        return
+    make_rule = policy.make_rule
+    add = rules.add
+    for owner, cand, miss in zip(
+        owners[valid].tolist(), cands[valid].tolist(),
+        misses[valid].tolist(),
+    ):
+        rule = make_rule(owner, cand, miss)
+        if rule is not None:
+            add(rule)
+            stats.rules_emitted += 1
+        else:  # pragma: no cover — valid_mask matches make_rule
+            stats.candidates_rejected += 1
+
+
+def _group_keys(ordered, entry, tails, slot, n) -> np.ndarray:
+    """The keys ``slot * n + candidate`` of one owner group: for each
+    owner entry ``entry[i]`` (its owner's group slot ``slot[i]``), one
+    key per column in ``ordered[entry[i] + 1:entry[i] + 1 + tails[i]]``.
+    Two buffers of the key count, whatever the group's shape."""
+    nonempty = tails > 0
+    entry, tails, slot = entry[nonempty], tails[nonempty], slot[nonempty]
+    total = int(tails.sum())
+    if not total:
+        return np.empty(0, dtype=np.int64)
+    starts = np.cumsum(tails) - tails
+    # Ragged arange as a cumulative sum of ones with a jump at each run
+    # start: run i covers entry[i] + 1 .. entry[i] + tails[i].
+    index = np.ones(total, dtype=np.int64)
+    index[starts] = entry + 1
+    index[starts[1:]] -= entry[:-1] + tails[:-1]
+    np.cumsum(index, out=index)
+    keys = ordered[index]
+    # Reuse the buffer for the piecewise-constant owner term.
+    index.fill(0)
+    index[starts] = slot * n
+    index[starts[1:]] -= slot[:-1] * n
+    np.cumsum(index, out=index)
+    keys += index
+    return keys
+
+
+class _Kernel:
+    """The per-scan state of the co-occurrence kernel."""
+
+    def __init__(self, policy: PairPolicy) -> None:
+        self.policy = policy
+        self.ones = policy.ones_array()
+        self.n_columns = len(self.ones)
+        self.cutoff = policy.add_cutoff_array()
+        # The paper's canonical list order (ones, then id): every
+        # eligible pair's candidate follows its owner in it.
+        self.by_rank = np.argsort(self.ones, kind="stable")
+        self.rank = np.empty(self.n_columns, dtype=np.int64)
+        self.rank[self.by_rank] = np.arange(self.n_columns)
+        self.count = np.zeros(self.n_columns, dtype=np.int64)
+        self.store = PairStore()
+
+    def block(self, lengths, cols, stats: ScanStats, rules: RuleSet) -> int:
+        """Fold one block into the counts and the store; returns the
+        block's recorded misses."""
+        n = self.n_columns
+        count = self.count
+        store = self.store
+        counts_block = np.bincount(cols, minlength=n)
+        after = count + counts_block
+        selected = counts_block > 0
+        open_ = count <= self.cutoff
+        if len(store):
+            live_owner = np.zeros(n, dtype=bool)
+            live_owner[store.owners] = True
+            selected &= open_ | live_owner
+            del live_owner
+        else:
+            selected &= open_
+
+        # Order every row canonically; the candidates of the owner at
+        # entry ``i`` are then the rest of its row, ``tails[i]`` entries.
+        ends = np.cumsum(lengths)
+        row_of = np.repeat(np.arange(len(lengths)), lengths)
+        keyed = row_of * n + self.rank[cols]
+        del row_of
+        keyed.sort()
+        ordered = self.by_rank[keyed % n]
+        del keyed
+        entry = np.flatnonzero(selected[ordered])
+        if not len(entry):
+            self.count = after
+            return 0
+        tails = np.repeat(ends, lengths)[entry] - entry - 1
+        group_owner = ordered[entry]
+        by_owner = np.argsort(group_owner, kind="stable")
+        entry = entry[by_owner]
+        tails = tails[by_owner]
+        group_owner = group_owner[by_owner]
+        first = np.concatenate(([True], group_owner[1:] != group_owner[:-1]))
+        starts = np.flatnonzero(first)
+        owners = group_owner[starts]
+        slot = np.cumsum(first) - 1
+        del group_owner, first
+        reach = np.cumsum(np.add.reduceat(tails, starts))
+        starts = np.append(starts, len(entry))
+
+        misses_seen = 0
+        admitted = []
+        lo = 0
+        covered = 0
+        while lo < len(owners):
+            hi = max(
+                lo + 1,
+                int(np.searchsorted(reach, covered + CHUNK_ENTRIES,
+                                    side="right")),
+            )
+            misses_seen += self._group(
+                owners[lo:hi], ordered,
+                entry[starts[lo]:starts[hi]],
+                tails[starts[lo]:starts[hi]],
+                slot[starts[lo]:starts[hi]] - lo,
+                counts_block, after, open_, admitted, stats, rules,
+            )
+            covered = int(reach[hi - 1])
+            lo = hi
+        del ordered, entry, tails, slot
+        if admitted:
+            # One merge per block; each column's batches are freed as
+            # soon as they are joined.
+            parts = list(zip(*admitted))
+            admitted.clear()
+            columns = []
+            while parts:
+                columns.append(np.concatenate(parts.pop(0)))
+            store.append(*columns)
+            del columns
+            stats.peak_entries = max(stats.peak_entries, len(store))
+            stats.peak_bytes = max(stats.peak_bytes, store.memory_bytes())
+        self.count = after
+        return misses_seen
+
+    def _group(
+        self, owners, ordered, entry, tails, slot, counts_block, after,
+        open_, admitted, stats, rules,
+    ) -> int:
+        """One owner group: reduce its keys, update its live pairs and
+        admit its new pairs; returns the misses it recorded."""
+        n = self.n_columns
+        policy = self.policy
+        store = self.store
+        keys = _group_keys(ordered, entry, tails, slot, n)
+        total = len(keys)
+        if not total:
+            touched = hits = keys
+        elif len(owners) * n <= total:
+            co = np.bincount(keys, minlength=len(owners) * n)
+            del keys
+            touched = np.flatnonzero(co)
+            hits = co[touched]
+            del co
+        else:
+            keys.sort()
+            runs = np.empty(total, dtype=bool)
+            runs[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=runs[1:])
+            runs = np.flatnonzero(runs)
+            touched = keys[runs]
+            del keys
+            hits = np.diff(runs, append=total)
+            del runs
+        pair_cands = touched % n
+        touched //= n
+        pair_owners = owners[touched]
+        # Touched keys over global ids, ascending like the store.
+        np.multiply(pair_owners, n, out=touched)
+        touched += pair_cands
+        misses_seen = 0
+
+        # -- miss update of the live pairs these owners hold.
+        live_lo, live_hi = np.searchsorted(
+            store.owners, (owners[0], owners[-1] + 1)
+        )
+        fresh = open_[pair_owners]
+        if live_hi > live_lo:
+            live_owners = store.owners[live_lo:live_hi]
+            live_hits = 0
+            if len(touched):
+                live_keys = live_owners.astype(np.int64) * n
+                live_keys += store.cands[live_lo:live_hi]
+                at = np.searchsorted(touched, live_keys)
+                np.minimum(at, len(touched) - 1, out=at)
+                found = touched[at] == live_keys
+                del live_keys
+                live_hits = np.where(found, hits[at], 0)
+                fresh[at[found]] = False
+                del at, found
+            delta = counts_block[live_owners] - live_hits
+            store.misses[live_lo:live_hi] += delta.astype(np.int32)
+            misses_seen += int(delta.sum())
+
+        # -- admission of new pairs, pruned with post-block counts.
+        fresh &= policy.eligible_mask(pair_owners, pair_cands)
+        o = pair_owners[fresh]
+        c = pair_cands[fresh]
+        h = hits[fresh]
+        del fresh, touched, hits, pair_owners, pair_cands
+        budgets = policy.budget_array(o, c)
+        keep = self.count[o] <= budgets
+        if not keep.all():
+            o, c, h, budgets = o[keep], c[keep], h[keep], budgets[keep]
+        if not len(o):
+            return misses_seen
+        misses = after[o] - h
+        misses_seen += int((counts_block[o] - h).sum())
+        del h
+        stats.candidates_added += len(o)
+        keep = self._settle(o, c, misses, budgets, after, stats, rules)
+        if keep.any():
+            admitted.append(tuple(
+                column[keep].astype(np.int32)
+                for column in (o, c, misses, budgets)
+            ))
+        return misses_seen
+
+    def _settle(
+        self, owners, cands, misses, budgets, counts, stats, rules
+    ) -> np.ndarray:
+        """The boundary sweep's tests on some pairs at ``counts``:
+        delete over-budget and dynamically pruned pairs, emit the valid
+        ones whose owner has finished; returns the survivors' mask."""
+        over = misses > budgets
+        dynamic = self.policy.dynamic_prune_mask(
+            owners, cands, misses, counts, budgets
+        )
+        n_over = int(np.count_nonzero(over))
+        if dynamic is None:
+            delete = over
+            n_dynamic = 0
+        else:
+            dynamic &= ~over
+            n_dynamic = int(np.count_nonzero(dynamic))
+            delete = over | dynamic
+        stats.candidates_deleted += n_over + n_dynamic
+        stats.candidates_deleted_budget += n_over
+        stats.candidates_deleted_dynamic += n_dynamic
+        finished = counts[owners] == self.ones[owners]
+        emit = finished & ~delete
+        if emit.any():
+            _emit(self.policy, owners[emit], cands[emit], misses[emit],
+                  rules, stats)
+        return ~(delete | finished)
+
+    def sweep(self, stats: ScanStats, rules: RuleSet) -> None:
+        """Boundary sweep: delete over-budget and dynamically pruned
+        pairs, emit pairs whose owner has finished, compact."""
+        store = self.store
+        keep = np.empty(len(store), dtype=bool)
+        for lo in range(0, len(store), CHUNK_ENTRIES):
+            part = slice(lo, lo + CHUNK_ENTRIES)
+            keep[part] = self._settle(
+                store.owners[part], store.cands[part], store.misses[part],
+                store.budgets[part], self.count, stats, rules,
+            )
+        store.compact(keep)
 
 
 def _scan_blocks(
@@ -225,7 +506,6 @@ def _scan_blocks(
     guard=None,
     observer=None,
     block_rows: Optional[int] = None,
-    dense_pair_columns: int = DENSE_PAIR_COLUMNS,
 ) -> RuleSet:
     if not policy.vector_ready():
         raise ValueError(
@@ -240,14 +520,11 @@ def _scan_blocks(
         observer = NULL_OBSERVER
     if block_rows is None:
         block_rows = DEFAULT_BLOCK_ROWS
-    block_rows = max(1, min(int(block_rows), MAX_BLOCK_ROWS))
+    block_rows = max(1, int(block_rows))
     started = time.perf_counter()
 
-    ones = policy.ones_array()
-    n_columns = len(ones)
-    cutoff = policy.add_cutoff_array()
-    count = np.zeros(n_columns, dtype=np.int64)
-    store = PairStore()
+    kernel = _Kernel(policy)
+    store = kernel.store
     curve = stats.pruning_curve
     misses_base = stats.misses_recorded
     misses_seen = 0
@@ -267,13 +544,12 @@ def _scan_blocks(
             span_fields["guard_tripped"] = True
         with observer.span("bitmap-tail", **span_fields):
             bitmap_tail(
-                remaining, policy, count.tolist(), cand, rules, stats,
-                observer=observer,
+                remaining, policy, kernel.count.tolist(), cand, rules,
+                stats, observer=observer,
             )
 
     while position < n_rows:
-        n_lists = store.n_lists()
-        memory = store.memory_bytes(n_lists)
+        memory = store.memory_bytes()
         if (
             bitmap is not None
             and n_rows - position <= bitmap.switch_rows
@@ -299,148 +575,14 @@ def _scan_blocks(
         block_size, lengths, cols = source.take(take)
         if not block_size:
             break
-        total = len(cols) if cols is not None else 0
-
-        if total:
-            row_idx = np.repeat(np.arange(block_size), lengths)
-            counts_block = np.bincount(cols, minlength=n_columns)
-            active = np.flatnonzero(counts_block)
-            n_active = len(active)
-
-            # Global -> active index map; the sentinel points at the
-            # built-in all-zero guard column modelling a column absent
-            # from the block.
-            to_active = np.full(n_columns, n_active, dtype=np.int64)
-            to_active[active] = np.arange(n_active)
-
-            dense = np.zeros((block_size, n_active + 1), dtype=np.float32)
-            dense[row_idx, to_active[cols]] = 1.0
-
-            # -- admission: pairs co-occurring while the owner is open.
-            # The full dense co-occurrence matrix is only worth its
-            # matmul when at least half the active columns still need
-            # discovery; otherwise slice-matmuls over the open columns
-            # cover discovery and per-pair kernels cover the live-pair
-            # miss updates.  The guard column keeps co's last row and
-            # column all-zero, so sentinel lookups just return 0.
-            open_positions = np.nonzero(count[active] <= cutoff[active])[0]
-            co = None
-            if (
-                n_active <= dense_pair_columns
-                and 2 * len(open_positions) >= n_active
-            ):
-                co = dense.T @ dense
-
-            # New pairs are collected first and appended *after* the
-            # live-pair miss update: their block misses are folded in
-            # here, straight from the co-occurrence values discovery
-            # already computed.
-            new_pairs = []
-            if len(open_positions):
-                live_keys = store.keys(n_columns) if len(store) else None
-                chunk = max(
-                    1, _DISCOVERY_CHUNK_ENTRIES // max(n_active, 1)
-                )
-                for lo in range(0, len(open_positions), chunk):
-                    picked = open_positions[lo:lo + chunk]
-                    if co is not None:
-                        co_open = co[picked]
-                    else:
-                        co_open = dense[:, picked].T @ dense
-                    owner_pos, cand_pos = np.nonzero(co_open)
-                    hits = co_open[owner_pos, cand_pos].astype(np.int64)
-                    owners = active[picked[owner_pos]]
-                    cands = active[cand_pos]
-                    keep = owners != cands
-                    keep &= policy.eligible_mask(owners, cands)
-                    budgets = policy.budget_array(owners, cands)
-                    keep &= count[owners] <= budgets
-                    if live_keys is not None:
-                        keep &= ~np.isin(
-                            owners * np.int64(n_columns) + cands, live_keys
-                        )
-                    owners = owners[keep]
-                    cands = cands[keep]
-                    block_miss = counts_block[owners] - hits[keep]
-                    new_pairs.append(
-                        (owners, cands, count[owners] + block_miss,
-                         budgets[keep])
-                    )
-                    misses_seen += int(block_miss.sum())
-
-            # -- miss update: block misses for every previously live
-            #    pair whose owner appears in the block.
-            if len(store):
-                owner_counts = counts_block[store.owners]
-                touched = np.nonzero(owner_counts)[0]
-                if len(touched):
-                    left = to_active[store.owners[touched]]
-                    right = to_active[store.cands[touched]]
-                    if co is not None:
-                        hits = co[left, right].astype(np.int64)
-                    elif len(touched) * block_size <= _GATHER_PAIR_CELLS:
-                        hits = np.einsum(
-                            "ij,ij->j", dense[:, left], dense[:, right]
-                        ).astype(np.int64)
-                    else:
-                        packed = pack_columns(dense)
-                        hits = pair_and_counts(packed, left, right)
-                    delta = owner_counts[touched] - hits
-                    store.misses[touched] += delta
-                    misses_seen += int(delta.sum())
-
-            for owners, cands, misses, budgets in new_pairs:
-                store.append(owners, cands, misses, budgets)
-                stats.candidates_added += len(owners)
-
-            count += counts_block
-
+        if len(cols):
+            misses_seen += kernel.block(lengths, cols, stats, rules)
+        del lengths, cols
         position += block_size
-
-        # -- pruning sweep + finished-column emission at the boundary.
-        if len(store):
-            over = store.misses > store.budgets
-            dynamic = policy.dynamic_prune_mask(
-                store.owners, store.cands, store.misses, count,
-                store.budgets,
-            )
-            if dynamic is None:
-                delete = over
-                n_dynamic = 0
-            else:
-                dynamic &= ~over
-                delete = over | dynamic
-                n_dynamic = int(dynamic.sum())
-            stats.candidates_deleted += int(delete.sum())
-            stats.candidates_deleted_budget += int(over.sum())
-            stats.candidates_deleted_dynamic += n_dynamic
-
-            finished = (count[store.owners] == ones[store.owners]) & ~delete
-            if np.any(finished):
-                emit_at = np.nonzero(finished)[0]
-                valid = policy.valid_mask(
-                    store.owners[emit_at], store.cands[emit_at],
-                    store.misses[emit_at],
-                )
-                stats.candidates_rejected += int(len(emit_at) - valid.sum())
-                for i in emit_at[valid].tolist():
-                    rule = policy.make_rule(
-                        int(store.owners[i]),
-                        int(store.cands[i]),
-                        int(store.misses[i]),
-                    )
-                    if rule is not None:
-                        rules.add(rule)
-                        stats.rules_emitted += 1
-                    else:  # pragma: no cover — valid_mask matches make_rule
-                        stats.candidates_rejected += 1
-                store.compact(~(delete | finished))
-            else:
-                store.compact(~delete)
+        kernel.sweep(stats, rules)
 
         entries = len(store)
-        n_lists = store.n_lists()
-        memory = store.memory_bytes(n_lists)
+        memory = store.memory_bytes()
         stats.record_block(block_size, entries, memory)
         if guard is not None:
             guard.observe(memory)

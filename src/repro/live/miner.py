@@ -218,27 +218,20 @@ class LiveMiner:
 
         from repro.core.candidates import PairStore
 
-        owners, cands, misses, budgets = [], [], [], []
-        for (a, b), hits in sorted(self._tracked.items()):
+        pairs = []
+        for (a, b), hits in self._tracked.items():
             first, second = canonical_pair(self._ones, a, b)
-            owners.append(first)
-            cands.append(second)
-            misses.append(self._ones[first] - hits)
             if self.task == "implication":
-                budgets.append(max_misses(self._ones[first], self.threshold))
+                budget = max_misses(self._ones[first], self.threshold)
             else:
-                budgets.append(
-                    pair_max_misses(
-                        self._ones[first], self._ones[second], self.threshold
-                    )
+                budget = pair_max_misses(
+                    self._ones[first], self._ones[second], self.threshold
                 )
+            pairs.append((first, second, self._ones[first] - hits, budget))
+        pairs.sort()
         store = PairStore()
-        store.append(
-            np.asarray(owners, dtype=np.int64),
-            np.asarray(cands, dtype=np.int64),
-            np.asarray(misses, dtype=np.int64),
-            np.asarray(budgets, dtype=np.int64),
-        )
+        if pairs:
+            store.append(*np.asarray(pairs, dtype=np.int64).T)
         return store
 
     # -- ingestion -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Packed-bitmap kernels: the Section 4.2 tail and the vector engine.
+"""Packed-bitmap kernels of the Section 4.2 tail.
 
 When the counter array threatens to explode on the last, densest rows,
 DMC switches to per-column bitmaps over the *remaining* rows.  A bitmap
@@ -7,14 +7,8 @@ against ``c_k`` are then ``popcount(bm(c_j) & ~bm(c_k))``.
 
 Bitmaps are stored packed, eight rows per byte, via ``numpy.packbits``.
 
-Two tiers of kernels live here:
-
-- scalar pair helpers (``count_and_not`` et al.) used by the
-  Algorithm 4.1 tail, which visits one candidate pair at a time;
-- vectorized block kernels (``pack_columns``, ``popcount_rows``,
-  ``pair_and_counts``, ``pair_and_not_counts``) that evaluate *arrays*
-  of pairs against a packed row block in one shot — the second-pass
-  engine in :mod:`repro.core.vector` runs on these.
+The scalar pair helpers (``count_and_not`` et al.) serve the
+Algorithm 4.1 tail, which visits one candidate pair at a time.
 """
 
 from __future__ import annotations
@@ -27,11 +21,11 @@ import numpy as np
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0: hardware popcount ufunc
-    def _popcount_sum(bytes_array: np.ndarray, axis=None) -> np.ndarray:
-        return np.bitwise_count(bytes_array).sum(axis=axis, dtype=np.int64)
+    def _popcount_sum(bytes_array: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(bytes_array).sum(dtype=np.int64)
 else:  # pragma: no cover — exercised only on numpy < 2.0
-    def _popcount_sum(bytes_array: np.ndarray, axis=None) -> np.ndarray:
-        return _POPCOUNT[bytes_array].sum(axis=axis)
+    def _popcount_sum(bytes_array: np.ndarray) -> np.ndarray:
+        return _POPCOUNT[bytes_array].sum()
 
 
 def count_ones(packed: np.ndarray) -> int:
@@ -52,47 +46,6 @@ def count_and(a: np.ndarray, b: np.ndarray) -> int:
 def bitmaps_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Return True when two packed bitmaps represent the same row set."""
     return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
-def pack_columns(dense: np.ndarray) -> np.ndarray:
-    """Pack a dense 0/1 block of shape ``(n_rows, n_cols)`` column-wise.
-
-    Returns a C-contiguous ``(n_cols, ceil(n_rows/8))`` uint8 array:
-    row ``c`` is the packed bitmap of column ``c``, bit ``t`` set when
-    ``dense[t, c]`` is nonzero.  Pad bits past ``n_rows`` are zero, so
-    the pair kernels below never count phantom rows.
-    """
-    return np.ascontiguousarray(np.packbits(dense != 0, axis=0).T)
-
-
-def popcount_rows(packed: np.ndarray) -> np.ndarray:
-    """Per-row popcounts of a 2-D packed array (one bitmap per row)."""
-    return _popcount_sum(packed, axis=1)
-
-
-def pair_and_counts(
-    packed: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Vectorized hits: ``popcount(packed[l] & packed[r])`` per pair.
-
-    ``left``/``right`` are parallel index arrays into ``packed``'s rows;
-    one int64 count comes back per pair.  Point an index at an all-zero
-    guard row to model a column absent from the block.
-    """
-    return _popcount_sum(packed[left] & packed[right], axis=1)
-
-
-def pair_and_not_counts(
-    packed: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Vectorized misses: ``popcount(packed[l] & ~packed[r])`` per pair.
-
-    This is :meth:`PackedBitmaps.misses` lifted to whole pair arrays:
-    rows where the left column is 1 but the right column is 0.  Pad
-    bits are zero on the left side, so ``~right``'s phantom tail never
-    contributes.
-    """
-    return _popcount_sum(packed[left] & ~packed[right], axis=1)
 
 
 def pack_rows(

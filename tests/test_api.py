@@ -62,13 +62,13 @@ class TestEquivalence:
     def test_matches_find_implication_rules(self, matrix):
         result = mine(matrix, minconf=0.9)
         legacy = find_implication_rules(matrix, 0.9)
-        assert result.engine == "dmc"
+        assert result.engine == "vector"
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_matches_find_similarity_rules(self, matrix):
         result = mine(matrix, minsim=0.6)
         legacy = find_similarity_rules(matrix, 0.6)
-        assert result.engine == "dmc"
+        assert result.engine == "vector"
         assert rules_to_json(result.rules) == rules_to_json(legacy)
 
     def test_matches_partitioned_implication(self, matrix):

@@ -85,6 +85,29 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             rules_from_json('{"rules": [{"kind": "bogus"}]}')
 
+    @pytest.mark.parametrize("with_stats", (False, True))
+    def test_layout_is_indented_json(self, with_stats):
+        """The record-at-a-time writer lays the document out exactly as
+        ``json.dumps(..., indent=2)`` would, escapes and all."""
+        import json
+
+        import repro
+
+        transactions = [
+            ['jam "x"', "butter\n"],
+            ['jam "x"', "butter\n", "caf\u00e9"],
+            ["caf\u00e9", "tea"],
+            ["tea"],
+        ]
+        for task, threshold in (("implication", 0.5), ("similarity", 0.3)):
+            result = repro.mine(transactions, task=task, threshold=threshold)
+            stats = result.stats if with_stats else None
+            for vocabulary in (None, result.vocabulary):
+                text = rules_to_json(result.rules, vocabulary, stats)
+                assert text == json.dumps(json.loads(text), indent=2)
+        empty = {"rules": []}
+        assert rules_to_json(RuleSet()) == json.dumps(empty, indent=2)
+
     def test_exact_fractions_survive(self):
         rules = RuleSet([ImplicationRule(0, 1, hits=1, ones=3)])
         loaded = rules_from_json(rules_to_json(rules))

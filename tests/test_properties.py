@@ -184,13 +184,14 @@ ENGINE_CASES = {
         ),
         30,
     ),
+    "auto": (dict(engine="auto"), 40),
     "auto-budget": (dict(engine="auto"), 40),
 }
 
 #: The cases whose carrier honours every :class:`PruningOptions`
 #: toggle; each example draws a fresh set of toggles for them.
 OPTION_CASES = frozenset(
-    ("dmc", "vector", "stream", "stream+vector", "auto-budget")
+    ("dmc", "vector", "stream", "stream+vector", "auto", "auto-budget")
 )
 
 ORACLES = {
